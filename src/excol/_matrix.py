@@ -8,10 +8,30 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from fractions import Fraction
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift CPython's int<->str digit limit for a block, then restore it.
+
+    Mutation entries outgrow the default limit of 4300 digits after a
+    few dozen letters; exact text I/O must still round-trip them.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -46,14 +66,15 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     """Nonnegative integer power by repeated squaring."""
     if k < 0:
         raise ValueError("use inverse_unimodular first for negative powers")
-    acc = identity(len(a))
+    acc = None
     base = a
     while k:
         if k & 1:
-            acc = mat_mul(acc, base)
-        base = mat_mul(base, base)
+            acc = base if acc is None else mat_mul(acc, base)
         k >>= 1
-    return acc
+        if k:
+            base = mat_mul(base, base)
+    return identity(len(a)) if acc is None else acc
 
 
 def is_zero(a: IntMatrix) -> bool:

@@ -25,6 +25,11 @@ Letter = tuple[int, int]
 
 _TOKEN_ALIASES = {"L": 1, "R": -1}
 
+# Entries kept by each permutation cache: a 4-strand word visits at most
+# 24 permutations, while a long word on many strands would otherwise
+# keep every permutation it ever visits.
+_CACHE_SIZE = 512
+
 
 class WordSyntaxError(ValueError):
     """Malformed braid word text or generator index out of range."""
@@ -37,12 +42,12 @@ def _identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _w0(n: int) -> Perm:
     return tuple(range(n - 1, -1, -1))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _gen(n: int, i: int) -> Perm:
     img = list(range(n))
     img[i], img[i + 1] = img[i + 1], img[i]
@@ -53,7 +58,7 @@ def _mul(p: Perm, q: Perm) -> Perm:
     return tuple(q[i] for i in p)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _inv(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, v in enumerate(p):
@@ -61,26 +66,26 @@ def _inv(p: Perm) -> Perm:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _starting(p: Perm) -> frozenset[int]:
     """Generators sigma_i left-dividing the permutation braid of p."""
     return frozenset(i for i in range(len(p) - 1) if p[i] > p[i + 1])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _finishing(p: Perm) -> frozenset[int]:
     """Generators sigma_i right-dividing the permutation braid of p."""
     return _starting(_inv(p))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _tau(p: Perm) -> Perm:
     """Conjugation by the half twist: D^-1 p D at the permutation level."""
     n = len(p)
     return tuple(n - 1 - p[n - 1 - j] for j in range(n))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _left_weighted_pair(x: Perm, y: Perm) -> tuple[Perm, Perm]:
     """Shift weight leftward until the pair (x, y) is left weighted."""
     while True:
@@ -134,6 +139,14 @@ class BraidWord:
                 )
             if e not in (1, -1):
                 raise ValueError(f"letter exponent must be +-1, got {e}")
+
+    @classmethod
+    def _trusted(cls, strands: int, letters: tuple[Letter, ...]) -> "BraidWord":
+        """Build a word from letters already known valid, skipping the checks."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "strands", strands)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
@@ -259,7 +272,7 @@ class GarsideForm:
         return " . ".join(parts)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _factor_letters(p: Perm) -> tuple[int, ...]:
     """A reduced positive word for a permutation braid (generator indices)."""
     word = []

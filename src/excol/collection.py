@@ -3,8 +3,13 @@
 A collection of n+1 objects is stored through the Gram matrix of the
 Euler form chi in the collection basis together with the unimodular
 integer matrix whose column j expresses the class of the j-th object in
-a fixed ambient basis of the K group.  Left and right mutations are
-unimodular column operations; the Gram matrix transforms by congruence.
+a fixed ambient basis of the K group.  A mutation of the pair
+(E_i, E_{i+1}) is a unimodular operation on two columns: with
+a = chi(E_i, E_{i+1}) a left mutation sends each entry pair (x, y) at
+slots (i, i+1) to (a*x - y, x) and a right mutation sends it to
+(y, a*y - x).  The classes take this map on their column pair; the
+Gram matrix transforms by congruence, the same map on its column pair
+and then on its row pair.  One step therefore costs O(n) entry updates.
 All arithmetic is arbitrary-precision integer.
 """
 
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 from . import _matrix
 from ._matrix import IntMatrix
-from .braid import BraidWord, Letter
+from .braid import BraidWord
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,37 +86,30 @@ def from_gram(gram) -> NumericalCollection:
     )
 
 
-def _mutation_matrix(c: NumericalCollection, i: int, side: int) -> IntMatrix:
-    """Column operation for a mutation of the pair (i, i+1); side=+1 left."""
-    n1 = len(c.gram)
-    a = c.gram[i][i + 1]
-    m = [[1 if r == s else 0 for s in range(n1)] for r in range(n1)]
-    m[i][i] = m[i + 1][i + 1] = 0
-    if side == 1:
-        # new object a*E_i - E_{i+1} goes to slot i, E_i moves to slot i+1
-        m[i][i] = a
-        m[i + 1][i] = -1
-        m[i][i + 1] = 1
-    else:
-        # E_{i+1} moves to slot i, new object a*E_{i+1} - E_i goes to slot i+1
-        m[i + 1][i] = 1
-        m[i + 1][i + 1] = a
-        m[i][i + 1] = -1
-    return _matrix.freeze(m)
-
-
 def _mutate(c: NumericalCollection, i: int, side: int) -> NumericalCollection:
+    """Mutate the pair (i, i+1); side=+1 left, -1 right.
+
+    The rank-2 update of the module docstring.  The new letter is
+    prepended to the history without re-validating the letters there.
+    """
     if not 0 <= i <= c.n - 1:
         raise IndexError(f"mutation index {i} out of range for n={c.n}")
-    m = _mutation_matrix(c, i, side)
-    gram = _matrix.mat_mul(_matrix.mat_mul(_matrix.transpose(m), c.gram), m)
-    classes = _matrix.mat_mul(c.classes, m)
-    letter: Letter = (i, side)
+    j = i + 1
+    a = c.gram[i][j]
+
+    def pair(x: int, y: int) -> tuple[int, int]:
+        return (a * x - y, x) if side == 1 else (y, a * y - x)
+
+    def columns(m: IntMatrix) -> IntMatrix:
+        return tuple(row[:i] + pair(row[i], row[j]) + row[j + 1:] for row in m)
+
+    g = columns(c.gram)
+    rows = tuple(zip(*(pair(x, y) for x, y in zip(g[i], g[j]))))
     return NumericalCollection(
-        gram=gram,
-        classes=classes,
+        gram=g[:i] + rows + g[j + 1:],
+        classes=columns(c.classes),
         ambient=c.ambient,
-        history=BraidWord(c.strands, (letter,) + c.history.letters),
+        history=BraidWord._trusted(c.strands, ((i, side),) + c.history.letters),
     )
 
 
@@ -170,35 +168,49 @@ def to_json_text(c: NumericalCollection) -> str:
         else [list(row) for row in c.classes]
     )
     payload = {"n": c.n, "gram": [list(row) for row in c.gram], "classes": classes}
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    with _matrix.unlimited_int_digits():
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def _int_matrix(raw, size: int, what: str) -> IntMatrix:
+    """A size x size JSON array of integers; floats and bools are rejected."""
+    if not isinstance(raw, list) or any(not isinstance(row, list) for row in raw):
+        raise ValueError(f"malformed collection file: {what} must be an array of arrays")
+    if len(raw) != size or any(len(row) != size for row in raw):
+        raise ValueError(f"{what} matrix must be {size}x{size} for n={size - 1}")
+    if any(type(x) is not int for row in raw for x in row):
+        raise ValueError(f"{what} entries must be integers")
+    return _matrix.freeze(raw)
 
 
 def from_json_text(text: str) -> NumericalCollection:
     """Parse the collection file format.
 
-    The ambient Euler form is reconstructed from the conservation
-    identity classes^T . ambient . classes == gram; the history word is
-    not serialized and comes back empty.
+    Every number must be a JSON integer.  The ambient Euler form is
+    reconstructed from the conservation identity
+    classes^T . ambient . classes == gram; the history word is not
+    serialized and comes back empty.
     """
-    payload = json.loads(text)
+    with _matrix.unlimited_int_digits():
+        payload = json.loads(text)
     try:
-        n = payload["n"]
-        gram = _matrix.freeze(payload["gram"])
-        raw_classes = payload["classes"]
+        n, raw_gram, raw_classes = payload["n"], payload["gram"], payload["classes"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed collection file: {exc}") from exc
-    if len(gram) != n + 1:
-        raise ValueError(f"gram matrix size {len(gram)} does not match n={n}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    gram = _int_matrix(raw_gram, n + 1, "gram")
     if not _matrix.is_upper_unitriangular(gram):
         raise ValueError("gram matrix must be upper triangular with unit diagonal")
     if raw_classes == "identity":
         classes = _matrix.identity(n + 1)
         ambient = gram
     else:
-        classes = _matrix.freeze(raw_classes)
-        if abs(_matrix.determinant(classes)) != 1:
-            raise ValueError("classes matrix must be unimodular")
-        inv = _matrix.inverse_unimodular(classes)
+        classes = _int_matrix(raw_classes, n + 1, "classes")
+        try:
+            inv = _matrix.inverse_unimodular(classes)
+        except ValueError as exc:
+            raise ValueError(f"classes {exc}") from exc
         ambient = _matrix.mat_mul(_matrix.mat_mul(_matrix.transpose(inv), gram), inv)
     return NumericalCollection(
         gram=gram, classes=classes, ambient=ambient, history=BraidWord(n + 1)
@@ -211,5 +223,7 @@ def load(path) -> NumericalCollection:
 
 
 def save(c: NumericalCollection, path) -> None:
+    """Write the collection file; serializing first leaves the target intact on error."""
+    text = to_json_text(c)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json_text(c))
+        fh.write(text)

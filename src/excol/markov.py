@@ -16,7 +16,13 @@ from typing import NamedTuple, Union
 
 from . import _matrix
 from .braid import BraidWord, Letter, delta_word
-from .collection import NumericalCollection, apply_word, _mutate
+from .collection import (
+    NumericalCollection,
+    _mutate,
+    apply_word,
+    from_gram,
+    is_minus_kappa_unipotent,
+)
 
 
 class CapExceededError(RuntimeError):
@@ -96,11 +102,7 @@ def eval_eq2(t: SixTuple, variant: str = "corrected") -> int:
 
 def unipotency_oracle(t: SixTuple) -> bool:
     """Ground truth: rebuild the Gram matrix and test (kappa+1)^4 = 0."""
-    gram = tuple_gram(t)
-    inv = _matrix.unitriangular_inverse(gram)
-    kappa = _matrix.mat_mul(inv, _matrix.transpose(gram))
-    plus_one = _matrix.mat_add(kappa, _matrix.identity(4))
-    return _matrix.is_zero(_matrix.mat_pow(plus_one, 4))
+    return is_minus_kappa_unipotent(from_gram(tuple_gram(t)))
 
 
 def on_gamma(t: SixTuple) -> bool:
@@ -267,35 +269,43 @@ def stabilizer_scan(
 ) -> list[BraidWord]:
     """All freely reduced words up to ``max_len`` fixing (gram, classes).
 
-    Enumerates by depth-first search over the mutation letters, applying
-    one mutation per node; the empty word is omitted.  Results come back
-    sorted by length then letters.  Raises CapExceededError (partial
-    list attached) if more than ``cap`` words are visited.
+    Enumerates by an iterative depth-first search over the mutation
+    letters, applying one mutation per node; the empty word is omitted.
+    Results come back sorted by length then letters.  Raises
+    CapExceededError (partial list attached) if more than ``cap`` words
+    are visited, and ValueError if ``max_len`` is negative.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
     letters = _letters_for(c)
     found: list[BraidWord] = []
     visited = 0
-
-    def rec(state: NumericalCollection, path: list[Letter]) -> None:
-        nonlocal visited
-        if len(path) == max_len:
-            return
-        for let in letters:
-            if path and path[-1] == (let[0], -let[1]):
-                continue  # not freely reduced
-            visited += 1
-            if visited > cap:
-                raise CapExceededError(
-                    f"stabilizer scan exceeded cap of {cap} words", found
-                )
-            nxt = _mutate(state, let[0], let[1])
-            path.append(let)
-            if nxt == c:
-                # letters were applied first-to-last, so the word reads reversed
-                found.append(BraidWord(c.strands, tuple(reversed(path))))
-            rec(nxt, path)
+    path: list[Letter] = []
+    # depth-first: one (state, pending letters) entry per node on the path
+    stack = [(c, iter(letters))] if max_len else []
+    while stack:
+        state, pending = stack[-1]
+        let = next(pending, None)
+        if let is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        if path and path[-1] == (let[0], -let[1]):
+            continue  # not freely reduced
+        visited += 1
+        if visited > cap:
+            raise CapExceededError(
+                f"stabilizer scan exceeded cap of {cap} words", found
+            )
+        nxt = _mutate(state, let[0], let[1])
+        path.append(let)
+        if nxt == c:
+            # letters were applied first-to-last, so the word reads reversed
+            found.append(BraidWord(c.strands, tuple(reversed(path))))
+        if len(path) < max_len:
+            stack.append((nxt, iter(letters)))
+        else:
             path.pop()
-
-    rec(c, [])
     found.sort(key=lambda w: (len(w.letters), w.letters))
     return found

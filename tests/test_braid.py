@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from excol import braid
 from excol.braid import (
     BraidWord,
     GarsideForm,
@@ -119,6 +120,23 @@ class TestNormalForm:
                 w = random_word(rng, strands, 15)
                 nf = normal_form(w)
                 assert normal_form(nf.word()) == nf
+
+
+class TestCaches:
+    def test_permutation_caches_are_bounded(self):
+        caches = [f for f in vars(braid).values() if hasattr(f, "cache_info")]
+        assert caches
+        assert all(f.cache_info().maxsize is not None for f in caches)
+
+    def test_eviction_keeps_normal_form(self):
+        rng = random.Random(7)
+        w = BraidWord(10, tuple((rng.randrange(9), rng.choice((1, -1))) for _ in range(120)))
+        first = normal_form(w)
+        assert braid._starting.cache_info().currsize == braid._CACHE_SIZE
+        for f in vars(braid).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+        assert normal_form(w) == first
 
 
 class TestTriviality:

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from excol.braid import is_trivial, parse_word
+from excol.braid import BraidWord, is_trivial, parse_word
 from excol.cli import main
 from excol.collection import load, to_json_text
 from excol.markov import SEED_DUAL, eval_eq1
@@ -84,6 +85,33 @@ class TestMutate:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         status, _, err = run(capsys, ["mutate", str(tmp_path / "nope.json")])
         assert status == 2
+
+    @pytest.mark.parametrize("to_other_file", [True, False])
+    def test_entries_past_digit_limit(self, beilinson_file, tmp_path, capsys, to_other_file):
+        from excol.collection import apply_word
+
+        rng = random.Random(0)
+        word = BraidWord(4, tuple((rng.randrange(3), rng.choice((1, -1))) for _ in range(70)))
+        target = tmp_path / "out.json" if to_other_file else beilinson_file
+        argv = ["mutate", str(beilinson_file), "--word", word.to_text()]
+        status, out, _ = run(capsys, argv + (["-o", str(target)] if to_other_file else []))
+        assert status == 0
+        expected = apply_word(beilinson_collection(3), word)
+        assert load(target) == expected
+        assert "[PASS] gram upper entries" in out
+
+    @pytest.mark.parametrize("text", [
+        '{"n":1,"gram":[[1.0,2.5],[0,1]],"classes":"identity"}\n',
+        '{"n":1,"gram":[[1,true],[0,1]],"classes":"identity"}\n',
+        '{"n":1,"gram":[[1,2],[0,1]],"classes":[[2,0],[0,1]]}\n',
+    ])
+    def test_inexact_or_non_unimodular_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        status, out, err = run(capsys, ["mutate", str(path), "--word", "L0"])
+        assert status == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert path.read_text() == text
 
     def test_json_report(self, beilinson_file, tmp_path, capsys):
         status, out, _ = run(
@@ -200,6 +228,20 @@ class TestStabilizer:
         assert lines
         for line in lines:
             assert is_trivial(parse_word(line, 4))
+
+    def test_negative_max_len_exits_2(self, beilinson_file, capsys):
+        status, out, err = run(
+            capsys, ["stabilizer", str(beilinson_file), "--max-len", "-3"]
+        )
+        assert status == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deep_scan_ends_at_cap(self, beilinson_file, capsys):
+        status, _, err = run(
+            capsys, ["stabilizer", str(beilinson_file), "--max-len", "2000", "--cap", "5000"]
+        )
+        assert status == 1
+        assert "cap of 5000 exceeded" in err
 
 
 class TestRegion:

@@ -1,12 +1,14 @@
 import random
+import sys
 
 import pytest
 import sympy
 
-from excol import _matrix
+from excol import _matrix, collection
 from excol.braid import BraidWord, delta_word, parse_word
 from excol.collection import (
     NumericalCollection,
+    _mutate,
     apply_word,
     from_gram,
     from_json_text,
@@ -28,6 +30,20 @@ def random_unitriangular(rng, size, lo=-9, hi=9):
         tuple(1 if i == j else (rng.randint(lo, hi) if j > i else 0) for j in range(size))
         for i in range(size)
     )
+
+
+def dense_mutation(c, i, side):
+    """Reference mutation by dense products: (M^T G M, C M) for the column operation M."""
+    n1 = len(c.gram)
+    a = c.gram[i][i + 1]
+    m = [[1 if r == s else 0 for s in range(n1)] for r in range(n1)]
+    if side == 1:
+        m[i][i], m[i + 1][i], m[i][i + 1], m[i + 1][i + 1] = a, -1, 1, 0
+    else:
+        m[i][i], m[i + 1][i], m[i][i + 1], m[i + 1][i + 1] = 0, 1, -1, a
+    m = _matrix.freeze(m)
+    gram = _matrix.mat_mul(_matrix.mat_mul(_matrix.transpose(m), c.gram), m)
+    return gram, _matrix.mat_mul(c.classes, m)
 
 
 def charpoly(mat):
@@ -112,6 +128,40 @@ class TestMutationFormulas:
         m = right_mutation(left_mutation(c, 1), 0)
         assert m.history.letters == ((0, -1), (1, 1))
 
+    def test_rank2_kernel_matches_dense_reference(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            size = rng.randint(2, 7)
+            c = from_gram(random_unitriangular(rng, size))
+            for _ in range(rng.randint(1, 8)):
+                i, side = rng.randrange(size - 1), rng.choice((1, -1))
+                gram, classes = dense_mutation(c, i, side)
+                c = _mutate(c, i, side)
+                assert (c.gram, c.classes) == (gram, classes)
+
+
+class TestLongWords:
+    def test_long_cancelling_word_keeps_full_history(self):
+        c = beilinson_collection(3)
+        w = parse_word("L0 R0", 4) ** 3000
+        out = apply_word(c, w)
+        assert out == c
+        assert len(out.history) == 6000
+        # newest letter first: the history spells the word that was applied
+        assert out.history.letters == w.letters
+
+    def test_history_letters_not_revalidated(self, monkeypatch):
+        calls = []
+        original = BraidWord.__post_init__
+        monkeypatch.setattr(
+            BraidWord, "__post_init__", lambda self: calls.append(1) or original(self)
+        )
+        c = beilinson_collection(3)
+        w = BraidWord(4, ((0, 1), (0, -1), (2, -1), (2, 1)) * 100)
+        calls.clear()
+        assert len(apply_word(c, w).history) == 400
+        assert calls == []
+
 
 class TestMutationProperties:
     def test_involution_random(self):
@@ -191,6 +241,13 @@ class TestSerre:
         assert _matrix.is_zero(plus)
         assert is_minus_kappa_unipotent(c)
 
+    def test_matrix_power_by_squaring(self):
+        a = serre_matrix(beilinson_collection(3)).kappa
+        power = _matrix.identity(4)
+        for k in range(10):
+            assert _matrix.mat_pow(a, k) == power
+            power = _matrix.mat_mul(power, a)
+
     def test_serre_identity_random(self):
         rng = random.Random(14)
         for _ in range(1000):
@@ -245,6 +302,49 @@ class TestFileFormat:
         path = tmp_path / "dual.json"
         save(c, path)
         assert load(path) == c
+
+    def test_round_trip_past_digit_limit(self):
+        rng = random.Random(0)
+        word = BraidWord(4, tuple((rng.randrange(3), rng.choice((1, -1))) for _ in range(70)))
+        c = apply_word(beilinson_collection(3), word)
+        assert max(abs(x) for row in c.gram for x in row).bit_length() > 4300 * 3.33
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        text = to_json_text(c)
+        back = from_json_text(text)
+        assert back == c and to_json_text(back) == text
+        assert limit() == before
+
+    def test_save_serializes_before_opening(self, tmp_path, monkeypatch):
+        path = tmp_path / "b3.json"
+        save(beilinson_collection(3), path)
+        before = path.read_text()
+
+        def refuse(c):
+            raise ValueError("cannot serialize")
+
+        monkeypatch.setattr(collection, "to_json_text", refuse)
+        with pytest.raises(ValueError):
+            save(apply_word(beilinson_collection(3), delta_word()), path)
+        assert path.read_text() == before
+
+    @pytest.mark.parametrize("text", [
+        '{"n":1,"gram":[[1.0,2.5],[0,1]],"classes":"identity"}',
+        '{"n":1,"gram":[[1,2.0],[0,1]],"classes":"identity"}',
+        '{"n":1,"gram":[[true,2],[0,1]],"classes":"identity"}',
+        '{"n":1.0,"gram":[[1,2],[0,1]],"classes":"identity"}',
+        '{"n":true,"gram":[[1,2],[0,1]],"classes":"identity"}',
+        '{"n":1,"gram":[[1,2],[0,1]],"classes":[[1,0],[false,1]]}',
+        '{"n":1,"gram":[[1,2],[0,1]],"classes":[[1,0.0],[0,1]]}',
+    ])
+    def test_rejects_floats_and_bools(self, text):
+        with pytest.raises(ValueError, match="integer"):
+            from_json_text(text)
+
+    @pytest.mark.parametrize("classes", ["[[2,0],[0,1]]", "[[1,1],[1,1]]", "[[1,2],[3,4]]"])
+    def test_rejects_non_unimodular_classes(self, classes):
+        with pytest.raises(ValueError, match="classes matrix"):
+            from_json_text(f'{{"n":1,"gram":[[1,2],[0,1]],"classes":{classes}}}')
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):

@@ -324,3 +324,42 @@ class TestStabilizerScan:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             stabilizer_scan(beilinson_collection(3), 6, cap=100)
+
+    @pytest.mark.parametrize("max_len,cap", [(0, 10), (1, 10), (4, 10_000), (5, 700)])
+    def test_matches_recursive_reference(self, max_len, cap):
+        # the recursive depth-first search the scan replaced, kept as a reference
+        c = from_gram(_matrix.identity(4))
+        found, visited = [], 0
+
+        def rec(state, path):
+            nonlocal visited
+            if len(path) == max_len:
+                return
+            for let in MUTATION_LETTERS:
+                if path and path[-1] == (let[0], -let[1]):
+                    continue
+                visited += 1
+                if visited > cap:
+                    raise CapExceededError("cap", found)
+                nxt = apply_word(state, BraidWord(4, (let,)))
+                path.append(let)
+                if nxt == c:
+                    found.append(BraidWord(4, tuple(reversed(path))))
+                rec(nxt, path)
+                path.pop()
+
+        try:
+            rec(c, [])
+            expected, partial = sorted(found, key=lambda w: (len(w), w.letters)), None
+        except CapExceededError as exc:
+            expected, partial = None, exc.partial
+        if partial is None:
+            assert stabilizer_scan(c, max_len, cap=cap) == expected
+        else:
+            with pytest.raises(CapExceededError) as exc:
+                stabilizer_scan(c, max_len, cap=cap)
+            assert exc.value.partial == partial
+
+    def test_negative_max_len(self):
+        with pytest.raises(ValueError):
+            stabilizer_scan(beilinson_collection(3), -3)
