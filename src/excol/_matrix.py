@@ -1,16 +1,14 @@
 """Exact arithmetic on small square matrices.
 
 Matrices are immutable tuples of row tuples.  Integer matrices stay
-integer; the few routines that need division go through
-``fractions.Fraction`` and convert back once integrality is certain.
-No floating point is used anywhere.
+integer: the one elimination (determinant and unimodular inverse) is
+fraction free, and no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import contextlib
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -104,44 +102,52 @@ def unitriangular_inverse(a: IntMatrix) -> IntMatrix:
     return freeze(inv)
 
 
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant via fraction-valued Gaussian elimination."""
+def _bareiss(a: IntMatrix, augment: bool) -> tuple[int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of a square integer matrix.
+
+    Returns (det, adj) with adj the adjugate when ``augment`` is set (an
+    empty list otherwise, or when det is zero).  Each step replaces every
+    other row r by (p * r - m * pivot_row) / p_prev, where p is the new
+    pivot, m the entry of r in the pivot column and p_prev the previous
+    pivot.  Every entry is then a minor of [a | I], so the division is
+    exact and entries stay integers no longer than those minors
+    (Bareiss 1968).  The last pivot is det(a) up to the sign of the row
+    swaps, and the right block is last pivot * a^-1.
+    """
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
+    m = [list(row) + ([int(i == j) for j in range(n)] if augment else [])
+         for i, row in enumerate(a)]
+    prev, sign = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
-            return 0
+            return 0, []
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            if factor:
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    assert det.denominator == 1
-    return int(det)
+            sign = -sign
+        top = m[col]
+        p = top[col]
+        for r in range(n):
+            if r != col:
+                row = m[r]
+                f = row[col]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    det = sign * prev
+    adj = [[sign * x for x in row[n:]] for row in m] if augment else []
+    return det, adj
+
+
+def determinant(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free elimination."""
+    return _bareiss(a, augment=False)[0]
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        piv = m[col][col]
-        m[col] = [x / piv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    inv = [row[n:] for row in m]
-    if any(x.denominator != 1 for row in inv for x in row):
+    det, adj = _bareiss(a, augment=True)
+    if det == 0:
+        raise ValueError("matrix is singular")
+    if det not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return freeze([[int(x) for x in row] for row in inv])
+    return freeze([[det * x for x in row] for row in adj])

@@ -10,9 +10,13 @@ first.
 The word problem is decided through the classical Garside structure:
 every braid is uniquely  D^k . p_1 . ... . p_m  where D is the positive
 half twist, every factor p_i is a permutation braid other than the
-identity and D, and each adjacent pair is left weighted.  Permutation
-braids are stored as their underlying permutations in one-line notation;
-permutations compose left to right (p then q), matching word order.
+identity and D, and each adjacent pair is left weighted.  The form is
+built one factor at a time: each appended factor costs one right-to-left
+pass of pair left-weightings that stops at the first pair it leaves
+unchanged (Epstein et al., Word Processing in Groups, ch. 9), so the
+pass is usually short.  Permutation braids are stored as their
+underlying permutations in one-line notation; permutations compose left
+to right (p then q), matching word order.
 """
 
 from __future__ import annotations
@@ -87,36 +91,94 @@ def _tau(p: Perm) -> Perm:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _left_weighted_pair(x: Perm, y: Perm) -> tuple[Perm, Perm]:
-    """Shift weight leftward until the pair (x, y) is left weighted."""
-    while True:
-        movable = _starting(y) - _finishing(x)
-        if not movable:
-            return x, y
-        s = _gen(len(x), min(movable))
-        x = _mul(x, s)
-        y = _mul(s, y)
+    """Shift weight leftward until the pair (x, y) is left weighted.
+
+    Works on x^-1 and y as lists: sigma_i can move from y to x while
+    y[i] > y[i+1] (it starts y) and x^-1[i] < x^-1[i+1] (it does not
+    finish x), and moving it swaps entries i, i+1 of both lists.  The
+    left-weighted pair is unique, so the order of the moves does not
+    matter.
+    """
+    n = len(x)
+    xi = [0] * n
+    for k, v in enumerate(x):
+        xi[v] = k
+    ys = list(y)
+    moved = False
+    i = 0
+    while i < n - 1:
+        if ys[i] > ys[i + 1] and xi[i] < xi[i + 1]:
+            ys[i], ys[i + 1] = ys[i + 1], ys[i]
+            xi[i], xi[i + 1] = xi[i + 1], xi[i]
+            moved = True
+            if i:
+                i -= 1  # the swap may have made sigma_{i-1} movable
+        else:
+            i += 1
+    if not moved:
+        return x, y
+    nx = [0] * n
+    for k, v in enumerate(xi):
+        nx[v] = k
+    return tuple(nx), tuple(ys)
 
 
 def _normalize_factors(strands: int, factors: list[Perm]) -> tuple[int, tuple[Perm, ...]]:
-    """Left-weight a factor list; return (absorbed D power, clean factors)."""
-    fs = list(factors)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs) - 1):
-            nx, ny = _left_weighted_pair(fs[i], fs[i + 1])
-            if nx != fs[i]:
-                fs[i], fs[i + 1] = nx, ny
-                changed = True
-    shift = 0
+    """Left-weight a factor list; return (absorbed D power, clean factors).
+
+    Factors are appended one at a time to a left-weighted list.  Each
+    append makes one right-to-left pass of pair left-weightings and stops
+    at the first pair that does not change, since everything left of it
+    is already left weighted.  A trailing identity is dropped as it
+    appears.  A half twist that appears in the pass would travel to the
+    front, conjugating every factor it passes by tau; it is absorbed into
+    the D power at once instead, and the conjugation is recorded lazily:
+    stored factor i is twisted by tau once for each set flip[j], j >= i.
+    """
     w0 = _w0(strands)
     e = _identity_perm(strands)
-    while fs and fs[0] == w0:
-        fs.pop(0)
-        shift += 1
-    while fs and fs[-1] == e:
-        fs.pop()
-    return shift, tuple(fs)
+    shift = 0
+    fs: list[Perm] = []
+    flip: list[int] = []
+    for f in factors:
+        if f == e:
+            continue
+        if f == w0:
+            shift += 1
+            if flip:
+                flip[-1] ^= 1
+            continue
+        fs.append(f)
+        flip.append(0)
+        k = len(fs) - 2
+        y, ty = f, 0  # the value at k+1 and its twist parity
+        while k >= 0:
+            tx = ty ^ flip[k]
+            x = _tau(fs[k]) if tx else fs[k]
+            nx, ny = _left_weighted_pair(x, y)
+            if nx == x:
+                break
+            fs[k + 1] = _tau(ny) if ty else ny
+            if nx == w0:
+                del fs[k]
+                if k:
+                    flip[k - 1] ^= flip[k] ^ 1
+                del flip[k]
+                shift += 1
+                break
+            fs[k] = _tau(nx) if tx else nx
+            y, ty = nx, tx
+            k -= 1
+        if fs and fs[-1] == e:  # only the factor appended now, flip 0
+            fs.pop()
+            flip.pop()
+    out = []
+    parity = 0
+    for k in range(len(fs) - 1, -1, -1):
+        parity ^= flip[k]
+        out.append(_tau(fs[k]) if parity else fs[k])
+    out.reverse()
+    return shift, tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -86,16 +86,13 @@ def from_gram(gram) -> NumericalCollection:
     )
 
 
-def _mutate(c: NumericalCollection, i: int, side: int) -> NumericalCollection:
-    """Mutate the pair (i, i+1); side=+1 left, -1 right.
+def _rank2(gram: IntMatrix, classes: IntMatrix, i: int, side: int) -> tuple[IntMatrix, IntMatrix]:
+    """The rank-2 update of the module docstring on the pair (i, i+1).
 
-    The rank-2 update of the module docstring.  The new letter is
-    prepended to the history without re-validating the letters there.
+    side=+1 is a left mutation, -1 a right one; the index is not checked.
     """
-    if not 0 <= i <= c.n - 1:
-        raise IndexError(f"mutation index {i} out of range for n={c.n}")
     j = i + 1
-    a = c.gram[i][j]
+    a = gram[i][j]
 
     def pair(x: int, y: int) -> tuple[int, int]:
         return (a * x - y, x) if side == 1 else (y, a * y - x)
@@ -103,11 +100,23 @@ def _mutate(c: NumericalCollection, i: int, side: int) -> NumericalCollection:
     def columns(m: IntMatrix) -> IntMatrix:
         return tuple(row[:i] + pair(row[i], row[j]) + row[j + 1:] for row in m)
 
-    g = columns(c.gram)
+    g = columns(gram)
     rows = tuple(zip(*(pair(x, y) for x, y in zip(g[i], g[j]))))
+    return g[:i] + rows + g[j + 1:], columns(classes)
+
+
+def _mutate(c: NumericalCollection, i: int, side: int) -> NumericalCollection:
+    """Mutate the pair (i, i+1); side=+1 left, -1 right.
+
+    The new letter is prepended to the history without re-validating the
+    letters there.
+    """
+    if not 0 <= i <= c.n - 1:
+        raise IndexError(f"mutation index {i} out of range for n={c.n}")
+    gram, classes = _rank2(c.gram, c.classes, i, side)
     return NumericalCollection(
-        gram=g[:i] + rows + g[j + 1:],
-        classes=columns(c.classes),
+        gram=gram,
+        classes=classes,
         ambient=c.ambient,
         history=BraidWord._trusted(c.strands, ((i, side),) + c.history.letters),
     )
@@ -129,10 +138,16 @@ def apply_word(c: NumericalCollection, w: BraidWord) -> NumericalCollection:
         raise ValueError(
             f"word on {w.strands} strands cannot act on a collection of {c.strands} objects"
         )
-    out = c
-    for i, e in reversed(w.letters):
-        out = _mutate(out, i, e)
-    return out
+    gram, classes = c.gram, c.classes
+    for i, e in reversed(w.letters):  # indices were checked when w was built
+        gram, classes = _rank2(gram, classes, i, e)
+    # each step would prepend its letter, so the history is built once
+    return NumericalCollection(
+        gram=gram,
+        classes=classes,
+        ambient=c.ambient,
+        history=BraidWord._trusted(c.strands, w.letters + c.history.letters),
+    )
 
 
 def serre_matrix(c: NumericalCollection) -> SerreMatrix:

@@ -8,6 +8,9 @@ phases alone.  Feasibility is decided by Fourier-Motzkin elimination
 over exact rationals; the answer is always certified, either by a
 witness point re-checked against every constraint or by a nonnegative
 combination of constraints summing to an impossible strict inequality.
+Each working row carries its multipliers over the original constraints
+sparsely, as the nonzero entries only; the dense certificate vector is
+built once, when a row proves the system infeasible.
 """
 
 from __future__ import annotations
@@ -129,26 +132,28 @@ def alpha(d: DegreeMatrix, i: int, j: int) -> float:
     return int(value)
 
 
-def region_system(d: DegreeMatrix) -> InequalitySystem:
-    """Inequalities phi_i - phi_j < alpha_{i,j}; infinite offsets drop out."""
-    rows = []
-    for i in range(d.n + 1):
-        for j in range(i + 1, d.n + 1):
-            a = alpha(d, i, j)
-            if a != inf:
-                coeffs = [0] * (d.n + 1)
-                coeffs[i] = 1
-                coeffs[j] = -1
-                rows.append((coeffs, a))
-    return InequalitySystem.build(d.n + 1, rows)
-
-
 def _pair_row(dim: int, i: int, j: int, bound: Rational):
     """Row for phi_i - phi_j < bound."""
     coeffs = [0] * dim
     coeffs[i] = 1
     coeffs[j] = -1
     return (coeffs, bound)
+
+
+def _region_rows(d: DegreeMatrix, dim: int) -> list:
+    """Rows phi_i - phi_j < alpha_{i,j} over ``dim`` >= n+1 phases."""
+    rows = []
+    for i in range(d.n + 1):
+        for j in range(i + 1, d.n + 1):
+            a = alpha(d, i, j)
+            if a != inf:
+                rows.append(_pair_row(dim, i, j, a))
+    return rows
+
+
+def region_system(d: DegreeMatrix) -> InequalitySystem:
+    """Inequalities phi_i - phi_j < alpha_{i,j}; infinite offsets drop out."""
+    return InequalitySystem.build(d.n + 1, _region_rows(d, d.n + 1))
 
 
 def lemma41_system(kidx: int, n: int = 3) -> InequalitySystem:
@@ -160,11 +165,7 @@ def lemma41_system(kidx: int, n: int = 3) -> InequalitySystem:
     """
     if not 0 <= kidx <= n - 1:
         raise IndexError(f"mutation index {kidx} out of range for n={n}")
-    rows = [
-        _pair_row(n + 1, i, j, -(j - i - 1))
-        for i in range(n + 1)
-        for j in range(i + 1, n + 1)
-    ]
+    rows = _region_rows(DegreeMatrix.all_zero(n), n + 1)
     rows.append(_pair_row(n + 1, kidx + 1, kidx, 1))
     for i in range(2, n - kidx + 1):
         rows.append(_pair_row(n + 1, kidx + 1, kidx + i, -(i - 1)))
@@ -181,9 +182,8 @@ def thm51_systems() -> tuple[InequalitySystem, InequalitySystem, InequalitySyste
     fifth variable pinned between its neighbours by the defining
     triangle, phi_1 - 1 < psi < phi_0 + 1.
     """
-    strong4 = [
-        _pair_row(4, i, j, -(j - i - 1)) for i in range(4) for j in range(i + 1, 4)
-    ]
+    strong = DegreeMatrix.all_zero(3)
+    strong4 = _region_rows(strong, 4)
     left = InequalitySystem.build(
         4,
         strong4
@@ -204,9 +204,7 @@ def thm51_systems() -> tuple[InequalitySystem, InequalitySystem, InequalitySyste
             _pair_row(4, 3, 2, 1),
         ],
     )
-    strong5 = [
-        _pair_row(5, i, j, -(j - i - 1)) for i in range(4) for j in range(i + 1, 4)
-    ]
+    strong5 = _region_rows(strong, 5)
     overlap = InequalitySystem.build(
         5,
         strong5
@@ -270,34 +268,38 @@ def is_feasible(s: InequalitySystem) -> FeasibilityResult:
     ``contains``, certificates through re-summation.
     """
     m = len(s.constraints)
-    # working rows: (coeffs, bound, multipliers over the original rows)
-    rows: list[tuple[list[Fraction], Fraction, list[Fraction]]] = [
-        (list(coeffs), bound, [Fraction(int(i == k)) for i in range(m)])
-        for k, (coeffs, bound) in enumerate(s.constraints)
+    # working rows: (coeffs, bound, nonzero multipliers over the original rows)
+    rows: list[tuple[list[Fraction], Fraction, dict[int, Rational]]] = [
+        (list(coeffs), bound, {k: 1}) for k, (coeffs, bound) in enumerate(s.constraints)
     ]
     eliminated: list[tuple[int, list[tuple[list[Fraction], Fraction]]]] = []
 
     for var in range(s.dimension - 1, -1, -1):
-        uppers = [r for r in rows if r[0][var] > 0]
-        lowers = [r for r in rows if r[0][var] < 0]
-        keep = [r for r in rows if r[0][var] == 0]
-        bounds_for_var = [(r[0], r[1]) for r in rows if r[0][var] != 0]
-        new_rows = keep
+        uppers, lowers, new_rows, bounds_for_var = [], [], [], []
+        for r in rows:
+            c = r[0][var]
+            if c == 0:
+                new_rows.append(r)
+                continue
+            (uppers if c > 0 else lowers).append(r)
+            bounds_for_var.append((r[0], r[1]))
         for lc, lb, lm in lowers:
             for uc, ub, um in uppers:
                 lw, uw = uc[var], -lc[var]
                 coeffs = [lw * a + uw * b for a, b in zip(lc, uc)]
                 bound = lw * lb + uw * ub
-                mult = [lw * a + uw * b for a, b in zip(lm, um)]
-                new_rows = new_rows + [(coeffs, bound, mult)]
+                mult = {k: lw * x for k, x in lm.items()}
+                for k, x in um.items():
+                    mult[k] = mult.get(k, 0) + uw * x
+                new_rows.append((coeffs, bound, mult))
         eliminated.append((var, bounds_for_var))
         rows = new_rows
 
     for coeffs, bound, mult in rows:
         # all variables eliminated: the row reads 0 < bound
         if bound <= 0:
-            total = sum(mult)
-            certificate = tuple(x / total for x in mult)
+            total = sum(mult.values())
+            certificate = tuple(Fraction(mult.get(k, 0)) / total for k in range(m))
             if not _certificate_valid(s, certificate):
                 raise AssertionError("internal error: invalid infeasibility certificate")
             return FeasibilityResult(False, certificate=certificate)
@@ -308,7 +310,7 @@ def is_feasible(s: InequalitySystem) -> FeasibilityResult:
         lo, hi = None, None
         for coeffs, bound in bounds:
             rest = bound - sum(
-                c * point[k] for k, c in enumerate(coeffs) if k != var
+                c * point[k] for k, c in enumerate(coeffs) if c and k != var
             )
             limit = rest / coeffs[var]
             if coeffs[var] > 0:

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -130,9 +131,9 @@ class TestCaches:
 
     def test_eviction_keeps_normal_form(self):
         rng = random.Random(7)
-        w = BraidWord(10, tuple((rng.randrange(9), rng.choice((1, -1))) for _ in range(120)))
+        w = BraidWord(10, tuple((rng.randrange(9), rng.choice((1, -1))) for _ in range(200)))
         first = normal_form(w)
-        assert braid._starting.cache_info().currsize == braid._CACHE_SIZE
+        assert braid._left_weighted_pair.cache_info().currsize == braid._CACHE_SIZE
         for f in vars(braid).values():
             if hasattr(f, "cache_clear"):
                 f.cache_clear()
@@ -210,3 +211,104 @@ class TestSpecialWords:
             delta_word(5)
         with pytest.raises(ValueError):
             center_word(3)
+
+
+# ---------------------------------------------------------------------------
+# the full-pass normal form, kept as the reference for the one-pass form
+
+@functools.lru_cache(maxsize=4096)
+def reference_left_weighted_pair(x, y):
+    """Move the smallest movable generator from y to x, one at a time."""
+    while True:
+        movable = braid._starting(y) - braid._finishing(x)
+        if not movable:
+            return x, y
+        s = braid._gen(len(x), min(movable))
+        x = braid._mul(x, s)
+        y = braid._mul(s, y)
+
+
+def reference_normalize_factors(strands, factors):
+    """Bubble passes over the whole list until no pair changes."""
+    fs = list(factors)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(fs) - 1):
+            nx, ny = reference_left_weighted_pair(fs[i], fs[i + 1])
+            if nx != fs[i]:
+                fs[i], fs[i + 1] = nx, ny
+                changed = True
+    shift = 0
+    w0 = braid._w0(strands)
+    e = braid._identity_perm(strands)
+    while fs and fs[0] == w0:
+        fs.pop(0)
+        shift += 1
+    while fs and fs[-1] == e:
+        fs.pop()
+    return shift, tuple(fs)
+
+
+def reference_normal_form(w, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(braid, "_normalize_factors", reference_normalize_factors)
+        return normal_form(w)
+
+
+def delta_power(strands, k):
+    """D^k as a word: the half twist from its normal form, inverted for k < 0."""
+    return GarsideForm(strands, 1, ()).word() ** k
+
+
+def sample_word(rng, strands, length, kind):
+    if strands == 1:
+        return BraidWord(1)
+    signs = {"mixed": (1, -1), "positive": (1,), "negative": (-1,)}[kind]
+    letters = tuple((rng.randrange(strands - 1), rng.choice(signs)) for _ in range(length))
+    return BraidWord(strands, letters)
+
+
+class TestOnePassReference:
+    def test_pairs_match_one_generator_moves(self):
+        rng = random.Random(20)
+        for _ in range(5000):
+            n = rng.randint(1, 10)
+            x, y = list(range(n)), list(range(n))
+            rng.shuffle(x)
+            rng.shuffle(y)
+            x, y = tuple(x), tuple(y)
+            assert braid._left_weighted_pair(x, y) == reference_left_weighted_pair(x, y)
+
+    def test_factor_lists_match_full_passes(self):
+        # any permutations, identities and half twists included
+        rng = random.Random(23)
+        for _ in range(2000):
+            n = rng.randint(2, 6)
+            special = (braid._identity_perm(n), braid._w0(n))
+            factors = []
+            for _ in range(rng.randint(0, 12)):
+                p = list(range(n))
+                rng.shuffle(p)
+                factors.append(rng.choice(special) if rng.random() < 0.2 else tuple(p))
+            assert braid._normalize_factors(n, factors) == reference_normalize_factors(n, factors)
+
+    @pytest.mark.parametrize("kind", ["mixed", "positive", "negative", "delta-spliced"])
+    def test_random_words_match_full_passes(self, kind, monkeypatch):
+        rng = random.Random(21)
+        for strands in range(1, 11):
+            for _ in range(40):
+                if kind == "delta-spliced":
+                    w = sample_word(rng, strands, rng.randint(0, 20), "mixed")
+                    if strands > 1:
+                        pos = rng.randint(0, len(w))
+                        d = delta_power(strands, rng.choice((-2, -1, 1, 2, 3)))
+                        w = BraidWord(strands, w.letters[:pos] + d.letters + w.letters[pos:])
+                else:
+                    w = sample_word(rng, strands, rng.randint(0, 30), kind)
+                assert normal_form(w) == reference_normal_form(w, monkeypatch)
+
+    @pytest.mark.parametrize("strands, length", [(4, 2000), (10, 300)])
+    def test_long_words_match_full_passes(self, strands, length, monkeypatch):
+        w = sample_word(random.Random(22), strands, length, "mixed")
+        assert normal_form(w) == reference_normal_form(w, monkeypatch)

@@ -150,6 +150,20 @@ class TestLongWords:
         # newest letter first: the history spells the word that was applied
         assert out.history.letters == w.letters
 
+    def test_history_built_once_for_long_word(self):
+        c = beilinson_collection(3)
+        w = parse_word("L0 R0", 4) ** 12000
+        out = apply_word(c, w)
+        assert out == c
+        assert out.history.letters == w.letters
+
+    def test_history_extends_previous_history(self):
+        c = left_mutation(beilinson_collection(3), 2)
+        w = parse_word("L0 R1 L2", 4)
+        out = apply_word(c, w)
+        assert out.history.letters == w.letters + ((2, 1),)
+        assert out == left_mutation(right_mutation(left_mutation(c, 2), 1), 0)
+
     def test_history_letters_not_revalidated(self, monkeypatch):
         calls = []
         original = BraidWord.__post_init__

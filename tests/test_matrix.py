@@ -1,0 +1,78 @@
+import random
+
+import pytest
+import sympy
+
+from excol import _matrix
+from excol.braid import BraidWord
+from excol.collection import apply_word
+from excol.pn import beilinson_collection
+
+
+def random_unimodular(rng, n, steps=12):
+    """A product of elementary row operations and row swaps."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j and rng.random() < 0.8:
+            k = rng.randint(-3, 3)
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+        else:
+            m[i], m[j] = m[j], m[i]
+            m[i] = [-x for x in m[i]] if rng.random() < 0.5 else m[i]
+    return _matrix.freeze(m)
+
+
+def random_singular(rng, n):
+    """Random rows with the last one a combination of two others."""
+    rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n - 1)]
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    return _matrix.freeze(rows)
+
+
+class TestBareiss:
+    def test_unimodular_inverse_matches_sympy(self):
+        rng = random.Random(40)
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            a = random_unimodular(rng, n)
+            inv = _matrix.inverse_unimodular(a)
+            assert sympy.Matrix(inv) == sympy.Matrix(a).inv()
+            assert _matrix.determinant(a) == sympy.Matrix(a).det()
+
+    def test_determinant_matches_sympy(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            a = _matrix.freeze([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+            assert _matrix.determinant(a) == sympy.Matrix(a).det()
+
+    def test_singular_matrices(self):
+        rng = random.Random(42)
+        for _ in range(100):
+            a = random_singular(rng, rng.randint(2, 6))
+            assert sympy.Matrix(a).det() == 0
+            assert _matrix.determinant(a) == 0
+            with pytest.raises(ValueError, match="matrix is singular"):
+                _matrix.inverse_unimodular(a)
+
+    @pytest.mark.parametrize("a", [((2, 0), (0, 1)), ((1, 2), (3, 4)), ((3,),)])
+    def test_not_unimodular(self, a):
+        with pytest.raises(ValueError, match="matrix is not unimodular"):
+            _matrix.inverse_unimodular(a)
+
+    def test_empty_matrix(self):
+        assert _matrix.determinant(()) == 1
+        assert _matrix.inverse_unimodular(()) == ()
+
+    def test_large_entries_from_long_word(self):
+        # the classes made by the 70-letter word, entries of about 39k bits
+        rng = random.Random(0)
+        word = BraidWord(4, tuple((rng.randrange(3), rng.choice((1, -1))) for _ in range(70)))
+        classes = apply_word(beilinson_collection(3), word).classes
+        assert max(abs(x) for row in classes for x in row).bit_length() > 30000
+        inv = _matrix.inverse_unimodular(classes)
+        assert _matrix.mat_mul(classes, inv) == _matrix.identity(4)
+        assert sympy.Matrix(inv) == sympy.Matrix(classes).adjugate() * sympy.Matrix(classes).det()
+        assert _matrix.determinant(classes) == sympy.Matrix(classes).det()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -10,8 +11,10 @@ from excol.collection import apply_word
 from excol.pn import beilinson_collection
 from excol.regions import (
     DegreeMatrix,
+    FeasibilityResult,
     InequalitySystem,
     PhasePoint,
+    _certificate_valid,
     alpha,
     contains,
     is_feasible,
@@ -314,3 +317,121 @@ class TestContains:
             2, [([1, -1], Fraction(-3, 2))]
         )
         assert system.rows_text() == ["[1,-1 | -3/2]"]
+
+
+# ---------------------------------------------------------------------------
+# dense-multiplier elimination, kept as the reference for the sparse one
+
+def reference_is_feasible(s: InequalitySystem) -> FeasibilityResult:
+    """Fourier-Motzkin with a dense Fraction multiplier vector on every row."""
+    m = len(s.constraints)
+    rows = [
+        (list(coeffs), bound, [Fraction(int(i == k)) for i in range(m)])
+        for k, (coeffs, bound) in enumerate(s.constraints)
+    ]
+    eliminated = []
+    for var in range(s.dimension - 1, -1, -1):
+        uppers = [r for r in rows if r[0][var] > 0]
+        lowers = [r for r in rows if r[0][var] < 0]
+        new_rows = [r for r in rows if r[0][var] == 0]
+        bounds_for_var = [(r[0], r[1]) for r in rows if r[0][var] != 0]
+        for lc, lb, lm in lowers:
+            for uc, ub, um in uppers:
+                lw, uw = uc[var], -lc[var]
+                new_rows.append((
+                    [lw * a + uw * b for a, b in zip(lc, uc)],
+                    lw * lb + uw * ub,
+                    [lw * a + uw * b for a, b in zip(lm, um)],
+                ))
+        eliminated.append((var, bounds_for_var))
+        rows = new_rows
+    for _, bound, mult in rows:
+        if bound <= 0:
+            total = sum(mult)
+            certificate = tuple(x / total for x in mult)
+            assert _certificate_valid(s, certificate)
+            return FeasibilityResult(False, certificate=certificate)
+    point = [Fraction(0)] * s.dimension
+    for var, bounds in reversed(eliminated):
+        lo, hi = None, None
+        for coeffs, bound in bounds:
+            rest = bound - sum(c * point[k] for k, c in enumerate(coeffs) if k != var)
+            limit = rest / coeffs[var]
+            if coeffs[var] > 0:
+                hi = limit if hi is None else min(hi, limit)
+            else:
+                lo = limit if lo is None else max(lo, limit)
+        if lo is None and hi is None:
+            point[var] = Fraction(0)
+        elif lo is None:
+            point[var] = hi - 1
+        elif hi is None:
+            point[var] = lo + 1
+        else:
+            point[var] = (lo + hi) / 2
+    assert contains(s, point)
+    return FeasibilityResult(True, witness=tuple(point))
+
+
+class TestSparseMultipliers:
+    def test_random_systems_match_dense_reference(self):
+        rng = random.Random(34)
+        values = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)]
+        outcomes = []
+        for _ in range(300):
+            dim = rng.randint(1, 4)
+            rows = [
+                ([rng.choice(values) for _ in range(dim)], rng.choice(values + [Fraction(1, 3)]))
+                for _ in range(rng.randint(1, 7))
+            ]
+            system = InequalitySystem.build(dim, rows)
+            res = is_feasible(system)
+            assert res == reference_is_feasible(system)
+            outcomes.append(res.feasible)
+        assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
+
+    @pytest.mark.parametrize("n", [3, 8, 32])
+    def test_strong_systems_match_dense_reference(self, n):
+        system = region_system(DegreeMatrix.all_zero(n))
+        assert len(system.constraints) == (n + 1) * n // 2
+        assert is_feasible(system) == reference_is_feasible(system)
+
+    def test_infeasible_strong_system_matches_dense_reference(self):
+        # phi_8 < phi_0 - 7 contradicts the strong chain phi_0 < phi_8 - 7
+        system = region_system(DegreeMatrix.all_zero(8))
+        bad = InequalitySystem.build(
+            9, [(list(c), b) for c, b in system.constraints] + [([-1] + [0] * 7 + [1], -7)]
+        )
+        res = is_feasible(bad)
+        assert not res.feasible
+        assert res == reference_is_feasible(bad)
+
+
+# sha256 of the newline-joined rows_text() of each system, taken from the
+# row generators before they shared one helper
+ROW_DIGESTS = {
+    "lemma41-0": "f1adf69d35754282699b66d76dea2bc34d67724f4299f736de2d327f16e79fe6",
+    "lemma41-1": "f041502aec623f2a43f29e5d806e1bf7cdcfa5f4d3ab534c15c82a50181d07f1",
+    "lemma41-2": "20de19a8d8671ff60ae778fd1a26783693cbf3da40b2a7fa66e714a6612daa27",
+    "thm51-left": "8e26e198de9ec74cc0ef725054686a84124f89ef80bdb17b3feec3d00e132c6c",
+    "thm51-right": "66e33ba77d2da0c8f1b816b51fec948e1363d8a134d2452f24395c1bfe64ed85",
+    "thm51-overlap": "642dfb0c0f1bd64394c5e6a399072390316434e5e483a1c9b90ea77b89105a5e",
+    "strong-3": "b712fb2856f80f6a128dec436ddb1b94603fc55785291ded402a474c4a17c26d",
+    "strong-8": "94657c8a16b740cd994a1cbf2bd9482991bab244062666dcc9b9f47cc78b295b",
+    "strong-32": "06226538151827a59914c5669e12232f92cde5120ef406a807bf192435592765",
+}
+
+
+def test_pinned_rows_text():
+    systems = {f"lemma41-{k}": lemma41_system(k) for k in range(3)}
+    systems.update(
+        (f"thm51-{name}", s) for name, s in zip(("left", "right", "overlap"), thm51_systems())
+    )
+    systems.update(
+        (f"strong-{n}", region_system(DegreeMatrix.all_zero(n))) for n in (3, 8, 32)
+    )
+    digests = {
+        key: hashlib.sha256("\n".join(s.rows_text()).encode()).hexdigest()
+        for key, s in systems.items()
+    }
+    assert digests == ROW_DIGESTS
