@@ -2,12 +2,16 @@
 
 Matrices are immutable tuples of row tuples.  Integer matrices stay
 integer: the one elimination (determinant and unimodular inverse) is
-fraction free, and no floating point is used anywhere.
+fraction free, and no floating point is used anywhere.  Upper
+unitriangular systems need no elimination: one back substitution,
+``unitriangular_solve``, serves the inverse of a Gram matrix G, the
+Serre matrix G^-1 G^T and kappa + 1 = G^-1 (G + G^T).
 """
 
 from __future__ import annotations
 
 import contextlib
+import operator
 import sys
 from typing import Sequence
 
@@ -47,13 +51,13 @@ def transpose(a: IntMatrix) -> IntMatrix:
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     cols = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
+    mul = operator.mul
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    add = operator.add
+    return tuple(tuple(map(add, ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_neg(a: IntMatrix) -> IntMatrix:
@@ -88,18 +92,32 @@ def is_upper_unitriangular(a: IntMatrix) -> bool:
     )
 
 
+def unitriangular_solve(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Exact a^-1 . b for an upper unitriangular integer matrix a.
+
+    Back substitution on whole rows, bottom up: row i of the solution is
+    row i of b minus a[i][k] times solution row k for every k > i, and
+    zero multipliers are skipped.  Integer input gives integer output.
+    """
+    n = len(a)
+    x: list = [()] * n
+    for i in range(n - 1, -1, -1):
+        row = b[i]
+        ai = a[i]
+        for k in range(i + 1, n):
+            m = ai[k]
+            if m:
+                row = [r - m * y for r, y in zip(row, x[k])]
+        x[i] = tuple(row)
+    return tuple(x)
+
+
 def unitriangular_inverse(a: IntMatrix) -> IntMatrix:
     """Exact inverse of an upper unitriangular integer matrix.
 
-    The inverse is again integer upper unitriangular, computed by back
-    substitution column by column.
+    The inverse is again integer upper unitriangular.
     """
-    n = len(a)
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            inv[i][j] = -sum(a[i][k] * inv[k][j] for k in range(i + 1, j + 1))
-    return freeze(inv)
+    return unitriangular_solve(a, identity(len(a)))
 
 
 def _bareiss(a: IntMatrix, augment: bool) -> tuple[int, list[list[int]]]:

@@ -93,16 +93,17 @@ def _rank2(gram: IntMatrix, classes: IntMatrix, i: int, side: int) -> tuple[IntM
     """
     j = i + 1
     a = gram[i][j]
-
-    def pair(x: int, y: int) -> tuple[int, int]:
-        return (a * x - y, x) if side == 1 else (y, a * y - x)
-
-    def columns(m: IntMatrix) -> IntMatrix:
-        return tuple(row[:i] + pair(row[i], row[j]) + row[j + 1:] for row in m)
-
-    g = columns(gram)
-    rows = tuple(zip(*(pair(x, y) for x, y in zip(g[i], g[j]))))
-    return g[:i] + rows + g[j + 1:], columns(classes)
+    if side == 1:
+        g = tuple(row[:i] + (a * row[i] - row[j], row[i]) + row[j + 1:] for row in gram)
+        gi = g[i]
+        rows = (tuple([a * x - y for x, y in zip(gi, g[j])]), gi)
+        cls = tuple(row[:i] + (a * row[i] - row[j], row[i]) + row[j + 1:] for row in classes)
+    else:
+        g = tuple(row[:i] + (row[j], a * row[j] - row[i]) + row[j + 1:] for row in gram)
+        gj = g[j]
+        rows = (gj, tuple([a * y - x for x, y in zip(g[i], gj)]))
+        cls = tuple(row[:i] + (row[j], a * row[j] - row[i]) + row[j + 1:] for row in classes)
+    return g[:i] + rows + g[j + 1:], cls
 
 
 def _mutate(c: NumericalCollection, i: int, side: int) -> NumericalCollection:
@@ -152,15 +153,23 @@ def apply_word(c: NumericalCollection, w: BraidWord) -> NumericalCollection:
 
 def serre_matrix(c: NumericalCollection) -> SerreMatrix:
     """kappa = gram^-1 . gram^T, exact integer entries."""
-    inv = _matrix.unitriangular_inverse(c.gram)
-    return SerreMatrix(_matrix.mat_mul(inv, _matrix.transpose(c.gram)))
+    return SerreMatrix(_matrix.unitriangular_solve(c.gram, _matrix.transpose(c.gram)))
+
+
+def _unipotent_gram(gram: IntMatrix) -> bool:
+    """True iff (kappa + 1)^(n+1) vanishes for kappa = gram^-1 . gram^T.
+
+    kappa + 1 = gram^-1 (gram + gram^T), so one back substitution gives
+    it without forming kappa; the power is then taken literally.
+    """
+    n1 = len(gram)
+    base = _matrix.unitriangular_solve(gram, _matrix.mat_add(gram, _matrix.transpose(gram)))
+    return _matrix.is_zero(_matrix.mat_pow(base, n1))
 
 
 def is_minus_kappa_unipotent(c: NumericalCollection) -> bool:
-    """True iff (kappa + 1)^(n+1) vanishes."""
-    kappa = serre_matrix(c).kappa
-    n1 = len(kappa)
-    return _matrix.is_zero(_matrix.mat_pow(_matrix.mat_add(kappa, _matrix.identity(n1)), n1))
+    """True iff (kappa + 1)^(n+1) vanishes, with kappa + 1 = G^-1 (G + G^T)."""
+    return _unipotent_gram(c.gram)
 
 
 def is_strong_candidate(c: NumericalCollection) -> bool:
@@ -206,8 +215,11 @@ def from_json_text(text: str) -> NumericalCollection:
     classes^T . ambient . classes == gram; the history word is not
     serialized and comes back empty.
     """
-    with _matrix.unlimited_int_digits():
-        payload = json.loads(text)
+    try:
+        with _matrix.unlimited_int_digits():
+            payload = json.loads(text)
+    except RecursionError as exc:  # arrays nested past the interpreter's stack
+        raise ValueError(f"malformed collection file: {exc}") from None
     try:
         n, raw_gram, raw_classes = payload["n"], payload["gram"], payload["classes"]
     except (KeyError, TypeError) as exc:

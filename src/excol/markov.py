@@ -16,13 +16,7 @@ from typing import NamedTuple, Union
 
 from . import _matrix
 from .braid import BraidWord, Letter, delta_word
-from .collection import (
-    NumericalCollection,
-    _mutate,
-    apply_word,
-    from_gram,
-    is_minus_kappa_unipotent,
-)
+from .collection import NumericalCollection, _mutate, _rank2, _unipotent_gram, apply_word
 
 
 class CapExceededError(RuntimeError):
@@ -101,8 +95,12 @@ def eval_eq2(t: SixTuple, variant: str = "corrected") -> int:
 
 
 def unipotency_oracle(t: SixTuple) -> bool:
-    """Ground truth: rebuild the Gram matrix and test (kappa+1)^4 = 0."""
-    return is_minus_kappa_unipotent(from_gram(tuple_gram(t)))
+    """Ground truth: rebuild the Gram matrix G and test (kappa+1)^4 = 0.
+
+    kappa + 1 = G^-1 (G + G^T) comes from one back substitution and is
+    raised to the fourth power on every call; no collection is built.
+    """
+    return _unipotent_gram(tuple_gram(t))
 
 
 def on_gamma(t: SixTuple) -> bool:
@@ -270,7 +268,9 @@ def stabilizer_scan(
     """All freely reduced words up to ``max_len`` fixing (gram, classes).
 
     Enumerates by an iterative depth-first search over the mutation
-    letters, applying one mutation per node; the empty word is omitted.
+    letters.  Each node carries a bare (gram, classes) pair and costs one
+    call of the rank-2 kernel ``collection._rank2``; no collection or
+    history is built until a word is found.  The empty word is omitted.
     Results come back sorted by length then letters.  Raises
     CapExceededError (partial list attached) if more than ``cap`` words
     are visited, and ValueError if ``max_len`` is negative.
@@ -278,11 +278,12 @@ def stabilizer_scan(
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
     letters = _letters_for(c)
+    target = (c.gram, c.classes)
     found: list[BraidWord] = []
     visited = 0
     path: list[Letter] = []
     # depth-first: one (state, pending letters) entry per node on the path
-    stack = [(c, iter(letters))] if max_len else []
+    stack = [(target, iter(letters))] if max_len else []
     while stack:
         state, pending = stack[-1]
         let = next(pending, None)
@@ -298,9 +299,9 @@ def stabilizer_scan(
             raise CapExceededError(
                 f"stabilizer scan exceeded cap of {cap} words", found
             )
-        nxt = _mutate(state, let[0], let[1])
+        nxt = _rank2(state[0], state[1], let[0], let[1])
         path.append(let)
-        if nxt == c:
+        if nxt == target:
             # letters were applied first-to-last, so the word reads reversed
             found.append(BraidWord(c.strands, tuple(reversed(path))))
         if len(path) < max_len:

@@ -67,10 +67,8 @@ def twist_matrix(n: int) -> IntMatrix:
     """
     gram = beilinson_collection(n).gram
     pairings = tuple(euler_chi_line(n, n + 1 - i) for i in range(n + 1))
-    inv = _matrix.unitriangular_inverse(gram)
-    last = tuple(
-        sum(inv[i][k] * pairings[k] for k in range(n + 1)) for i in range(n + 1)
-    )
+    solved = _matrix.unitriangular_solve(gram, tuple((p,) for p in pairings))
+    last = tuple(row[0] for row in solved)
     assert all(
         sum(gram[i][k] * last[k] for k in range(n + 1)) == pairings[i]
         for i in range(n + 1)

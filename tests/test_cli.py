@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -112,6 +113,14 @@ class TestMutate:
         assert status == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert path.read_text() == text
+
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        status, out, err = run(capsys, ["mutate", str(path), "--word", "L0"])
+        assert status == 2
+        assert out == "" and err.startswith("error: malformed collection file")
+        assert err.count("\n") == 1
 
     def test_json_report(self, beilinson_file, tmp_path, capsys):
         status, out, _ = run(
@@ -242,6 +251,41 @@ class TestStabilizer:
         )
         assert status == 1
         assert "cap of 5000 exceeded" in err
+
+
+IDENTITY_FILE = '{"n":3,"gram":[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],"classes":"identity"}\n'
+
+
+class TestPinnedExploreOutputs:
+    """sha256 of the stdout of the orbit and stabilizer commands, taken
+    from the inverse-then-product oracle and the collection-per-node scan
+    that the back-substitution oracle and the rank-2 scan replaced."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["orbit", "B3", "--depth", "6"],
+         "d49d495678331df89d2178dab0d839541f84be38b1a30ccb65cb9735b6044140"),
+        (["orbit", "B3", "--depth", "6", "--format", "json"],
+         "77b5ce32d42dc89353e5d7ae88b3dbfd4599fd4064634b453d34c8df876b007c"),
+        (["orbit", "--tuple", "4,6,4,4,6,4", "--depth", "14"],
+         "5db7bc7b1cfd4fd50820c8107588a56be6ee8095bba9640fd0c3da4207a52a3b"),
+        (["orbit", "--tuple", "1,0,0,0,0,0", "--depth", "8"],
+         "9f9aa11312135bfc852a75ca53ed3e36ab6aa197a10af4bdee536acb31e380b1"),
+        (["stabilizer", "B3", "--max-len", "6"],
+         "5c5908a1a77c697562269f35335e76a46ea0489794f501daadac97ccb39bfd91"),
+        (["stabilizer", "ID4", "--max-len", "6"],
+         "56bee5bfab0dd67b3584cc615df0aa467d0fe709e0b0cd404a27a2f5914a9d82"),
+    ])
+    def test_stdout_digest(self, beilinson_file, tmp_path, capsys, argv, digest):
+        identity_file = tmp_path / "id4.json"
+        identity_file.write_text(IDENTITY_FILE)
+        files = {"B3": str(beilinson_file), "ID4": str(identity_file)}
+        status, out, _ = run(capsys, [files.get(a, a) for a in argv])
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_non_unipotent_records(self, capsys):
+        _, out, _ = run(capsys, ["orbit", "--tuple", "1,0,0,0,0,0", "--depth", "8"])
+        assert out.count("oracle=0") == 12
 
 
 class TestRegion:

@@ -360,6 +360,10 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="classes matrix"):
             from_json_text(f'{{"n":1,"gram":[[1,2],[0,1]],"classes":{classes}}}')
 
+    def test_deep_nesting_is_malformed(self):
+        with pytest.raises(ValueError, match="malformed collection file"):
+            from_json_text("[" * 100_000)
+
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             from_json_text('{"n":3}')

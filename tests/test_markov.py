@@ -5,7 +5,7 @@ import sympy
 
 from excol import _matrix
 from excol.braid import BraidWord, is_trivial, parse_word
-from excol.collection import apply_word, from_gram
+from excol.collection import apply_word, from_gram, is_minus_kappa_unipotent
 from excol.markov import (
     MUTATION_LETTERS,
     SEED_BEILINSON,
@@ -46,6 +46,75 @@ BRAID_RELATORS = tuple(
     parse_word(t, 4)
     for t in ("L0 L1 L0 R1 R0 R1", "L1 L2 L1 R2 R1 R2", "L0 L2 R0 R2", "L2 L0 R2 R0")
 )
+
+
+def reference_mat_mul(a, b):
+    """The generator-of-products matrix product the oracle used to run on."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def reference_unitriangular_inverse(a):
+    """Column-by-column back substitution, as the oracle used to invert."""
+    n = len(a)
+    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            inv[i][j] = -sum(a[i][k] * inv[k][j] for k in range(i + 1, j + 1))
+    return tuple(tuple(row) for row in inv)
+
+
+def reference_unipotent(gram):
+    """The former oracle: kappa = G^-1 G^T, then (kappa + 1)^(n+1) by squaring."""
+    n1 = len(gram)
+    kappa = reference_mat_mul(reference_unitriangular_inverse(gram), _matrix.transpose(gram))
+    base, acc, k = _matrix.mat_add(kappa, _matrix.identity(n1)), _matrix.identity(n1), n1
+    while k:
+        if k & 1:
+            acc = reference_mat_mul(acc, base)
+        base, k = reference_mat_mul(base, base), k >> 1
+    return _matrix.is_zero(acc)
+
+
+def random_unitriangular(rng, size, lo=-9, hi=9):
+    return tuple(
+        tuple(1 if i == j else (rng.randint(lo, hi) if j > i else 0) for j in range(size))
+        for i in range(size)
+    )
+
+
+def assert_matches_recursive_scan(c, max_len, cap):
+    """The recursive depth-first search the scan replaced, kept as a reference."""
+    found, visited = [], 0
+
+    def rec(state, path):
+        nonlocal visited
+        if len(path) == max_len:
+            return
+        for let in MUTATION_LETTERS:
+            if path and path[-1] == (let[0], -let[1]):
+                continue
+            visited += 1
+            if visited > cap:
+                raise CapExceededError("cap", found)
+            nxt = apply_word(state, BraidWord(4, (let,)))
+            path.append(let)
+            if nxt == c:
+                found.append(BraidWord(4, tuple(reversed(path))))
+            rec(nxt, path)
+            path.pop()
+
+    try:
+        rec(c, [])
+        expected, partial = sorted(found, key=lambda w: (len(w), w.letters)), None
+    except CapExceededError as exc:
+        expected, partial = None, exc.partial
+    if partial is None:
+        assert stabilizer_scan(c, max_len, cap=cap) == expected
+    else:
+        with pytest.raises(CapExceededError) as exc:
+            stabilizer_scan(c, max_len, cap=cap)
+        assert exc.value.partial == partial
 
 
 def symbolic_tuple():
@@ -111,6 +180,51 @@ class TestEquations:
         # the corrected variant agrees
         assert unipotency_oracle(SEED_DUAL) and eval_eq2(SEED_DUAL, "printed") != 0
         assert eval_eq2(SEED_DUAL, "corrected") == 0
+
+
+class TestOracleReference:
+    """The one back substitution oracle against the former inverse-then-product one."""
+
+    @pytest.mark.parametrize("seed,depth", [(SEED_DUAL, 14), (SEED_BEILINSON, 10)])
+    def test_orbit_tuples(self, seed, depth):
+        tuples = orbit(seed, depth)
+        assert len(tuples) > 1000
+        for t in tuples:
+            assert unipotency_oracle(t) is reference_unipotent(tuple_gram(t)) is True
+
+    def test_random_tuples_both_outcomes(self):
+        rng = random.Random(51)
+        outcomes = set()
+        for bound in [2] * 2000 + [9] * 1000:
+            t = SixTuple(*(rng.randint(-bound, bound) for _ in range(6)))
+            got = unipotency_oracle(t)
+            assert got == reference_unipotent(tuple_gram(t))
+            assert got == is_minus_kappa_unipotent(from_gram(tuple_gram(t)))
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_random_grams_both_outcomes(self):
+        rng = random.Random(52)
+        outcomes = set()
+        for _ in range(1500):
+            size = rng.randint(1, 10)
+            if rng.random() < 0.5:
+                gram = random_unitriangular(rng, size, -2, 2)
+            else:  # a mutated Beilinson collection keeps its unipotency
+                n = max(size - 1, 1)
+                word = BraidWord(n + 1, tuple(
+                    (rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(0, 6))))
+                gram = apply_word(beilinson_collection(n), word).gram
+            got = is_minus_kappa_unipotent(from_gram(gram))
+            assert got == reference_unipotent(gram)
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_beilinson(self, n):
+        gram = beilinson_collection(n).gram
+        assert is_minus_kappa_unipotent(beilinson_collection(n)) is (n % 2 == 1)
+        assert reference_unipotent(gram) is (n % 2 == 1)
 
 
 class TestGroupAction:
@@ -327,38 +441,12 @@ class TestStabilizerScan:
 
     @pytest.mark.parametrize("max_len,cap", [(0, 10), (1, 10), (4, 10_000), (5, 700)])
     def test_matches_recursive_reference(self, max_len, cap):
-        # the recursive depth-first search the scan replaced, kept as a reference
-        c = from_gram(_matrix.identity(4))
-        found, visited = [], 0
+        assert_matches_recursive_scan(from_gram(_matrix.identity(4)), max_len, cap)
 
-        def rec(state, path):
-            nonlocal visited
-            if len(path) == max_len:
-                return
-            for let in MUTATION_LETTERS:
-                if path and path[-1] == (let[0], -let[1]):
-                    continue
-                visited += 1
-                if visited > cap:
-                    raise CapExceededError("cap", found)
-                nxt = apply_word(state, BraidWord(4, (let,)))
-                path.append(let)
-                if nxt == c:
-                    found.append(BraidWord(4, tuple(reversed(path))))
-                rec(nxt, path)
-                path.pop()
-
-        try:
-            rec(c, [])
-            expected, partial = sorted(found, key=lambda w: (len(w), w.letters)), None
-        except CapExceededError as exc:
-            expected, partial = None, exc.partial
-        if partial is None:
-            assert stabilizer_scan(c, max_len, cap=cap) == expected
-        else:
-            with pytest.raises(CapExceededError) as exc:
-                stabilizer_scan(c, max_len, cap=cap)
-            assert exc.value.partial == partial
+    @pytest.mark.parametrize("max_len,cap", [(1, 10), (4, 10_000), (5, 10_000), (5, 700)])
+    def test_b3_matches_recursive_reference(self, max_len, cap):
+        # along a word the classes of b3 change, those of the identity never do
+        assert_matches_recursive_scan(beilinson_collection(3), max_len, cap)
 
     def test_negative_max_len(self):
         with pytest.raises(ValueError):

@@ -76,3 +76,57 @@ class TestBareiss:
         assert _matrix.mat_mul(classes, inv) == _matrix.identity(4)
         assert sympy.Matrix(inv) == sympy.Matrix(classes).adjugate() * sympy.Matrix(classes).det()
         assert _matrix.determinant(classes) == sympy.Matrix(classes).det()
+
+
+def random_unitriangular(rng, n, bits):
+    return _matrix.freeze(
+        [[int(i == j) if j <= i else rng.randint(-(1 << bits), 1 << bits) for j in range(n)]
+         for i in range(n)]
+    )
+
+
+def random_matrix(rng, rows, cols, bits):
+    return _matrix.freeze(
+        [[rng.randint(-(1 << bits), 1 << bits) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+class TestUnitriangularSolve:
+    @pytest.mark.parametrize("bits", [3, 1200])
+    def test_matches_sympy(self, bits):
+        rng = random.Random(43 + bits)
+        for _ in range(120):
+            n = rng.randint(1, 8)
+            a = random_unitriangular(rng, n, bits)
+            b = random_matrix(rng, n, rng.randint(1, 8), bits)
+            x = _matrix.unitriangular_solve(a, b)
+            assert sympy.Matrix(x) == sympy.Matrix(a).inv() * sympy.Matrix(b)
+            assert all(type(v) is int for row in x for v in row)
+
+    def test_sparse_multipliers(self):
+        # zero multipliers are skipped; the solution is still exact
+        a = ((1, 0, 0, 5), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        b = ((1, 2), (3, 4), (5, 6), (7, 8))
+        assert _matrix.unitriangular_solve(a, b) == ((-34, -38), (3, 4), (5, 6), (7, 8))
+
+    def test_inverse_is_solve_against_identity(self):
+        rng = random.Random(44)
+        for _ in range(100):
+            a = random_unitriangular(rng, rng.randint(1, 9), 4)
+            inv = _matrix.unitriangular_inverse(a)
+            assert inv == _matrix.unitriangular_solve(a, _matrix.identity(len(a)))
+            assert _matrix.mat_mul(a, inv) == _matrix.identity(len(a))
+            assert sympy.Matrix(inv) == sympy.Matrix(a).inv()
+
+    def test_empty(self):
+        assert _matrix.unitriangular_solve((), ()) == ()
+
+
+class TestMatMul:
+    @pytest.mark.parametrize("bits", [3, 1200])
+    def test_matches_sympy(self, bits):
+        rng = random.Random(45 + bits)
+        for _ in range(120):
+            r, k, c = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+            a, b = random_matrix(rng, r, k, bits), random_matrix(rng, k, c, bits)
+            assert sympy.Matrix(_matrix.mat_mul(a, b)) == sympy.Matrix(a) * sympy.Matrix(b)

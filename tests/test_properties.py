@@ -1,4 +1,5 @@
-"""Property tests of the braid normal form; skipped when hypothesis is absent."""
+"""Property tests of the braid normal form, of mutations and of the file
+format; skipped when hypothesis is absent."""
 
 import pytest
 
@@ -7,7 +8,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import json  # noqa: E402
+
+from excol import _matrix  # noqa: E402
 from excol.braid import BraidWord, is_trivial, normal_form  # noqa: E402
+from excol.collection import (  # noqa: E402
+    NumericalCollection,
+    _mutate,
+    apply_word,
+    from_json_text,
+    is_minus_kappa_unipotent,
+    to_json_text,
+)
+from excol.pn import beilinson_collection  # noqa: E402
 
 
 @st.composite
@@ -60,3 +73,110 @@ def test_normal_form_word_round_trips(w):
 @given(words())
 def test_word_times_inverse_is_trivial(w):
     assert is_trivial(w * w.inverse())
+
+
+# ---------------------------------------------------------------------------
+# mutations of collections
+
+@st.composite
+def collections(draw):
+    """A unitriangular Gram matrix of size 2-6 (random, or a Beilinson one so
+    that unipotent forms occur) with unimodular classes built from
+    elementary column operations and sign changes."""
+    size = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        gram = beilinson_collection(size - 1).gram
+    else:
+        gram = tuple(
+            tuple(1 if i == j else (draw(st.integers(-4, 4)) if j > i else 0)
+                  for j in range(size))
+            for i in range(size)
+        )
+    cols = [[int(i == j) for i in range(size)] for j in range(size)]
+    for j, k, m in draw(st.lists(st.tuples(
+            st.integers(0, size - 1), st.integers(0, size - 1), st.integers(-3, 3)), max_size=8)):
+        if j != k:
+            cols[j] = [x + m * y for x, y in zip(cols[j], cols[k])]
+        else:
+            cols[j] = [-x for x in cols[j]]
+    classes = _matrix.transpose(_matrix.freeze(cols))
+    inv = _matrix.inverse_unimodular(classes)
+    ambient = _matrix.mat_mul(_matrix.mat_mul(_matrix.transpose(inv), gram), inv)
+    return NumericalCollection(gram, classes, ambient, BraidWord(size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(collections(), st.data())
+def test_left_and_right_mutations_are_inverse(c, data):
+    i = data.draw(st.integers(0, c.n - 1))
+    assert _mutate(_mutate(c, i, 1), i, -1) == c
+    assert _mutate(_mutate(c, i, -1), i, 1) == c
+
+
+@settings(max_examples=150, deadline=None)
+@given(collections(), st.data())
+def test_braid_relations_act_trivially(c, data):
+    rel = BraidWord(c.strands, data.draw(st.sampled_from(relators(c.strands))))
+    if data.draw(st.booleans()):
+        rel = rel.inverse()
+    image = apply_word(c, rel)
+    assert image == c and image.conserves_pairing()
+
+
+@settings(max_examples=150, deadline=None)
+@given(collections(), st.data())
+def test_single_mutation_keeps_unipotency(c, data):
+    i = data.draw(st.integers(0, c.n - 1))
+    side = data.draw(st.sampled_from((1, -1)))
+    assert is_minus_kappa_unipotent(_mutate(c, i, side)) == is_minus_kappa_unipotent(c)
+
+
+# ---------------------------------------------------------------------------
+# the collection file format
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@st.composite
+def near_files(draw):
+    """Payloads shaped like collection files; a few fields get values of any
+    JSON type, a wrong size or go missing, the rest are well formed."""
+    def corrupt():
+        return draw(st.integers(0, 5)) == 0
+
+    n = draw(st.integers(0, 4))
+    size = n + 1 + (draw(st.integers(-1, 1)) if corrupt() else 0)
+    entry = json_values if corrupt() else st.integers(-3, 3)
+    gram = [[draw(entry) if j > i else int(i == j) for j in range(size)] for i in range(size)]
+    identity = [[int(i == j) for j in range(size)] for i in range(size)]
+    classes = draw(st.sampled_from(("identity", identity))
+                   | st.lists(st.lists(entry, min_size=size, max_size=size),
+                              min_size=size, max_size=size))
+    payload = {"n": draw(json_values) if corrupt() else n, "gram": gram, "classes": classes}
+    if corrupt():
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    return payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values | near_files())
+def test_from_json_text_raises_only_value_error(value):
+    try:
+        c = from_json_text(json.dumps(value))
+    except ValueError:
+        return
+    text = to_json_text(c)
+    back = from_json_text(text)
+    assert back == c and back.ambient == c.ambient and to_json_text(back) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(collections())
+def test_accepted_file_round_trips(c):
+    text = to_json_text(c)
+    back = from_json_text(text)
+    assert back == c and back.ambient == c.ambient and to_json_text(back) == text
