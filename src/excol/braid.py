@@ -202,14 +202,6 @@ class BraidWord:
             if e not in (1, -1):
                 raise ValueError(f"letter exponent must be +-1, got {e}")
 
-    @classmethod
-    def _trusted(cls, strands: int, letters: tuple[Letter, ...]) -> "BraidWord":
-        """Build a word from letters already known valid, skipping the checks."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "strands", strands)
-        object.__setattr__(w, "letters", letters)
-        return w
-
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
             raise ValueError("cannot multiply words on different strand counts")

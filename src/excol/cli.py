@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from . import collection, markov, pn, regions, suites
-from .braid import WordSyntaxError, is_trivial, normal_form, parse_word
+from . import _matrix, collection, markov, pn, regions, suites
+from .braid import normal_form, parse_word
 from .markov import CapExceededError, SixTuple
 
 
@@ -80,24 +80,26 @@ def cmd_orbit(args) -> int:
     if (args.tuple is None) == (args.file is None):
         print("orbit needs exactly one of FILE or --tuple", file=sys.stderr)
         return 2
-    if args.tuple is not None:
-        seed = _parse_tuple(args.tuple)
-        to_tuple = lambda t: t
-    else:
-        c = collection.load(args.file)
-        if c.n != 3:
-            print("orbit records need a collection of 4 objects", file=sys.stderr)
-            return 2
-        seed = c
-        to_tuple = markov.t_map
-    exceeded = False
-    try:
-        members = markov.orbit(seed, args.depth, cap=args.cap)
-    except CapExceededError as exc:
-        members = exc.partial
-        exceeded = True
-    for elem, depth in members.items():
-        print(_tuple_record(depth, to_tuple(elem), args.eq2_variant, args.format))
+    # tuple entries of a mutated collection can pass CPython's int/str digit limit
+    with _matrix.unlimited_int_digits():
+        if args.tuple is not None:
+            seed = _parse_tuple(args.tuple)
+            to_tuple = lambda t: t
+        else:
+            c = collection.load(args.file)
+            if c.n != 3:
+                print("orbit records need a collection of 4 objects", file=sys.stderr)
+                return 2
+            seed = c
+            to_tuple = markov.t_map
+        exceeded = False
+        try:
+            members = markov.orbit(seed, args.depth, cap=args.cap)
+        except CapExceededError as exc:
+            members = exc.partial
+            exceeded = True
+        for elem, depth in members.items():
+            print(_tuple_record(depth, to_tuple(elem), args.eq2_variant, args.format))
     if exceeded:
         print(f"cap of {args.cap} exceeded; output is partial", file=sys.stderr)
         return 1
@@ -220,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--max-len", type=int, required=True, dest="max_len")
     p.add_argument("--cap", type=int, default=1_000_000)
-    add_format(p)
     p.set_defaults(func=cmd_stabilizer)
 
     p = sub.add_parser("region", help="print a phase-inequality system")
@@ -253,7 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WordSyntaxError, ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

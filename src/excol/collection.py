@@ -16,25 +16,24 @@ All arithmetic is arbitrary-precision integer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import _matrix
 from ._matrix import IntMatrix
 from .braid import BraidWord
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NumericalCollection:
-    """Euler-form Gram matrix, K-theory classes and provenance word.
+    """Euler-form Gram matrix, K-theory classes and ambient Euler form.
 
-    Equality and hashing use (gram, classes) only; the history word is
-    provenance metadata and the ambient form is determined by the pair.
+    Equality and hashing use (gram, classes) only; the ambient form is
+    determined by the pair.
     """
 
     gram: IntMatrix
     classes: IntMatrix
-    ambient: IntMatrix
-    history: BraidWord
+    ambient: IntMatrix = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -43,14 +42,6 @@ class NumericalCollection:
     @property
     def strands(self) -> int:
         return len(self.gram)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NumericalCollection):
-            return NotImplemented
-        return self.gram == other.gram and self.classes == other.classes
-
-    def __hash__(self) -> int:
-        return hash((self.gram, self.classes))
 
     def upper_entries(self) -> tuple[int, ...]:
         """The strictly upper Gram entries, row by row."""
@@ -77,13 +68,7 @@ def from_gram(gram) -> NumericalCollection:
     g = _matrix.freeze(gram)
     if not _matrix.is_upper_unitriangular(g):
         raise ValueError("gram matrix must be upper triangular with unit diagonal")
-    n1 = len(g)
-    return NumericalCollection(
-        gram=g,
-        classes=_matrix.identity(n1),
-        ambient=g,
-        history=BraidWord(n1),
-    )
+    return NumericalCollection(g, _matrix.identity(len(g)), g)
 
 
 def _rank2(gram: IntMatrix, classes: IntMatrix, i: int, side: int) -> tuple[IntMatrix, IntMatrix]:
@@ -107,20 +92,10 @@ def _rank2(gram: IntMatrix, classes: IntMatrix, i: int, side: int) -> tuple[IntM
 
 
 def _mutate(c: NumericalCollection, i: int, side: int) -> NumericalCollection:
-    """Mutate the pair (i, i+1); side=+1 left, -1 right.
-
-    The new letter is prepended to the history without re-validating the
-    letters there.
-    """
+    """Mutate the pair (i, i+1); side=+1 left, -1 right."""
     if not 0 <= i <= c.n - 1:
         raise IndexError(f"mutation index {i} out of range for n={c.n}")
-    gram, classes = _rank2(c.gram, c.classes, i, side)
-    return NumericalCollection(
-        gram=gram,
-        classes=classes,
-        ambient=c.ambient,
-        history=BraidWord._trusted(c.strands, ((i, side),) + c.history.letters),
-    )
+    return NumericalCollection(*_rank2(c.gram, c.classes, i, side), c.ambient)
 
 
 def left_mutation(c: NumericalCollection, i: int) -> NumericalCollection:
@@ -142,13 +117,7 @@ def apply_word(c: NumericalCollection, w: BraidWord) -> NumericalCollection:
     gram, classes = c.gram, c.classes
     for i, e in reversed(w.letters):  # indices were checked when w was built
         gram, classes = _rank2(gram, classes, i, e)
-    # each step would prepend its letter, so the history is built once
-    return NumericalCollection(
-        gram=gram,
-        classes=classes,
-        ambient=c.ambient,
-        history=BraidWord._trusted(c.strands, w.letters + c.history.letters),
-    )
+    return NumericalCollection(gram, classes, c.ambient)
 
 
 def serre_matrix(c: NumericalCollection) -> SerreMatrix:
@@ -212,8 +181,7 @@ def from_json_text(text: str) -> NumericalCollection:
 
     Every number must be a JSON integer.  The ambient Euler form is
     reconstructed from the conservation identity
-    classes^T . ambient . classes == gram; the history word is not
-    serialized and comes back empty.
+    classes^T . ambient . classes == gram.
     """
     try:
         with _matrix.unlimited_int_digits():
@@ -239,9 +207,7 @@ def from_json_text(text: str) -> NumericalCollection:
         except ValueError as exc:
             raise ValueError(f"classes {exc}") from exc
         ambient = _matrix.mat_mul(_matrix.mat_mul(_matrix.transpose(inv), gram), inv)
-    return NumericalCollection(
-        gram=gram, classes=classes, ambient=ambient, history=BraidWord(n + 1)
-    )
+    return NumericalCollection(gram, classes, ambient)
 
 
 def load(path) -> NumericalCollection:

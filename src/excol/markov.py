@@ -269,11 +269,12 @@ def stabilizer_scan(
 
     Enumerates by an iterative depth-first search over the mutation
     letters.  Each node carries a bare (gram, classes) pair and costs one
-    call of the rank-2 kernel ``collection._rank2``; no collection or
-    history is built until a word is found.  The empty word is omitted.
-    Results come back sorted by length then letters.  Raises
-    CapExceededError (partial list attached) if more than ``cap`` words
-    are visited, and ValueError if ``max_len`` is negative.
+    call of the rank-2 kernel ``collection._rank2``; no collection is
+    built, and a ``BraidWord`` only for a word that fixes the pair.  The
+    empty word is omitted.  Results come back sorted by length then
+    letters.  Raises CapExceededError (partial list attached) if more
+    than ``cap`` words are visited, and ValueError if ``max_len`` is
+    negative.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")

@@ -358,12 +358,7 @@ def regions_suite(seed: int = 0) -> list[Check]:
 
     left_sys = regions.thm51_systems()[0]
     relaxed_point = tuple(Fraction(x) for x in (0, Fraction(-1, 2), Fraction(5, 2), 3))
-    strong_rows = set()
-    for i in range(4):
-        for j in range(i + 1, 4):
-            coeffs = [0] * 4
-            coeffs[i], coeffs[j] = 1, -1
-            strong_rows.add((tuple(Fraction(x) for x in coeffs), Fraction(-(j - i - 1))))
+    strong_rows = set(strong_sys.constraints)
     extras = regions.InequalitySystem(
         4, tuple(c for c in left_sys.constraints if c not in strong_rows)
     )
@@ -417,8 +412,8 @@ def pn_suite(seed: int = 0) -> list[Check]:
     for n in range(1, 5):
         tw = pn.twist_matrix(n)
         checks.append(check(f"twist determinant on P{n}", 1, _matrix.determinant(tw)))
-        gram = pn.beilinson_collection(n).gram
-        kappa = _matrix.unitriangular_solve(gram, _matrix.transpose(gram))
+        beilinson = pn.beilinson_collection(n)
+        kappa = serre_matrix(beilinson).kappa
         checks.append(check(f"serre map equals A^-1 A^T on P{n}", kappa, pn.serre_class_map(n)))
         # (-1)^n kappa is the unipotent twist power, so the sign in the
         # nilpotency test follows the parity of n
@@ -431,7 +426,7 @@ def pn_suite(seed: int = 0) -> list[Check]:
         )
         checks.append(check(f"twist conjugation fixes kappa on P{n}", kappa, conj))
         checks.append(check(f"beilinson P{n} strong candidate", True,
-                            is_strong_candidate(pn.beilinson_collection(n))))
+                            is_strong_candidate(beilinson)))
     checks.append(check("beilinson P1 gram", ((1, 2), (0, 1)), pn.beilinson_collection(1).gram))
     checks.append(check("eq1 on the beilinson P3 tuple", 0,
                         eval_eq1(t_map(pn.beilinson_collection(3)))))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from excol import _matrix
 from excol.braid import BraidWord, is_trivial, parse_word
 from excol.cli import main
 from excol.collection import load, to_json_text
@@ -226,6 +227,28 @@ class TestOrbit:
         assert status == 0
         assert "eq2=-720" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_entries_past_digit_limit(self, beilinson_file, tmp_path, capsys, fmt):
+        rng = random.Random(0)
+        word = BraidWord(4, tuple((rng.randrange(3), rng.choice((1, -1))) for _ in range(70)))
+        target = tmp_path / "over.json"
+        status, _, _ = run(capsys, ["mutate", str(beilinson_file), "--word", word.to_text(),
+                                    "-o", str(target)])
+        assert status == 0
+        status, out, err = run(
+            capsys, ["orbit", str(target), "--depth", "0", "--format", fmt]
+        )
+        assert status == 0 and err == ""
+        expected = load(target).upper_entries()
+        assert max(abs(x) for x in expected).bit_length() > 20_000
+        (line,) = out.splitlines()
+        with _matrix.unlimited_int_digits():
+            if fmt == "json":
+                printed = tuple(json.loads(line)["tuple"])
+            else:
+                printed = tuple(int(x) for x in line.split("\t")[1].strip("()").split(","))
+        assert printed == expected
+
 
 class TestStabilizer:
     def test_beilinson_words_trivial(self, beilinson_file, capsys):
@@ -251,6 +274,11 @@ class TestStabilizer:
         )
         assert status == 1
         assert "cap of 5000 exceeded" in err
+
+    def test_takes_no_format_option(self, beilinson_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stabilizer", str(beilinson_file), "--max-len", "2", "--format", "json"])
+        assert exc.value.code == 2
 
 
 IDENTITY_FILE = '{"n":3,"gram":[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],"classes":"identity"}\n'

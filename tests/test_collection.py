@@ -58,7 +58,7 @@ class TestConstruction:
     def test_beilinson_gram_is_valid(self):
         c = beilinson_collection(3)
         assert c.gram == ((1, 4, 10, 20), (0, 1, 4, 10), (0, 0, 1, 4), (0, 0, 0, 1))
-        assert c.ambient == c.gram and c.history.letters == ()
+        assert c.ambient == c.gram
 
     def test_rejects_bad_diagonal(self):
         with pytest.raises(ValueError):
@@ -68,12 +68,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             from_gram([[1, 1], [1, 1]])
 
-    def test_equality_ignores_history(self):
+    def test_equality_ignores_ambient(self):
         c = beilinson_collection(3)
         looped = apply_word(c, parse_word("L0 R0", 4))
         assert looped == c
-        assert looped.history.letters != ()
         assert hash(looped) == hash(c)
+        other = NumericalCollection(c.gram, c.classes, _matrix.identity(4))
+        assert other == c and hash(other) == hash(c)
+        assert left_mutation(c, 0) != c
 
 
 class TestMutationFormulas:
@@ -123,11 +125,6 @@ class TestMutationFormulas:
         with pytest.raises(IndexError):
             right_mutation(c, -1)
 
-    def test_history_prepends(self):
-        c = beilinson_collection(3)
-        m = right_mutation(left_mutation(c, 1), 0)
-        assert m.history.letters == ((0, -1), (1, 1))
-
     def test_rank2_kernel_matches_dense_reference(self):
         rng = random.Random(14)
         for _ in range(300):
@@ -146,25 +143,20 @@ class TestLongWords:
         w = parse_word("L0 R0", 4) ** 3000
         out = apply_word(c, w)
         assert out == c
-        assert len(out.history) == 6000
-        # newest letter first: the history spells the word that was applied
-        assert out.history.letters == w.letters
 
     def test_history_built_once_for_long_word(self):
         c = beilinson_collection(3)
         w = parse_word("L0 R0", 4) ** 12000
         out = apply_word(c, w)
         assert out == c
-        assert out.history.letters == w.letters
 
     def test_history_extends_previous_history(self):
         c = left_mutation(beilinson_collection(3), 2)
         w = parse_word("L0 R1 L2", 4)
         out = apply_word(c, w)
-        assert out.history.letters == w.letters + ((2, 1),)
         assert out == left_mutation(right_mutation(left_mutation(c, 2), 1), 0)
 
-    def test_history_letters_not_revalidated(self, monkeypatch):
+    def test_apply_word_builds_no_braid_word(self, monkeypatch):
         calls = []
         original = BraidWord.__post_init__
         monkeypatch.setattr(
@@ -173,7 +165,7 @@ class TestLongWords:
         c = beilinson_collection(3)
         w = BraidWord(4, ((0, 1), (0, -1), (2, -1), (2, 1)) * 100)
         calls.clear()
-        assert len(apply_word(c, w).history) == 400
+        assert apply_word(c, w) == c
         assert calls == []
 
 

@@ -1,5 +1,5 @@
-"""Property tests of the braid normal form, of mutations and of the file
-format; skipped when hypothesis is absent."""
+"""Property tests of the braid normal form, of mutations, of the file
+format and of the command line; skipped when hypothesis is absent."""
 
 import pytest
 
@@ -8,10 +8,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import contextlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 
 from excol import _matrix  # noqa: E402
 from excol.braid import BraidWord, is_trivial, normal_form  # noqa: E402
+from excol.cli import main  # noqa: E402
 from excol.collection import (  # noqa: E402
     NumericalCollection,
     _mutate,
@@ -102,7 +105,7 @@ def collections(draw):
     classes = _matrix.transpose(_matrix.freeze(cols))
     inv = _matrix.inverse_unimodular(classes)
     ambient = _matrix.mat_mul(_matrix.mat_mul(_matrix.transpose(inv), gram), inv)
-    return NumericalCollection(gram, classes, ambient, BraidWord(size))
+    return NumericalCollection(gram, classes, ambient)
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,3 +183,105 @@ def test_accepted_file_round_trips(c):
     text = to_json_text(c)
     back = from_json_text(text)
     assert back == c and back.ambient == c.ambient and to_json_text(back) == text
+
+
+# ---------------------------------------------------------------------------
+# command-line argv
+
+FILES = {
+    "b3.json": to_json_text(beilinson_collection(3)),
+    "id2.json": '{"n":1,"gram":[[1,0],[0,1]],"classes":"identity"}\n',
+    "float.json": '{"n":1,"gram":[[1,2.5],[0,1]],"classes":"identity"}\n',
+    "bad.json": '{"n":1,"gram":',
+}
+
+
+def usually(valid, invalid):
+    """Draws from ``valid``, and one time in eight from ``invalid``."""
+    return st.integers(0, 7).flatmap(lambda k: invalid if k == 0 else valid)
+
+
+small = usually(st.integers(0, 3), st.just(-1))
+fmt = usually(st.sampled_from(("text", "json")), st.just("xml"))
+word_text = st.lists(usually(
+    st.sampled_from(("L0", "L1", "L2", "R0", "R1", "R2", "s1", "s0^-1")),
+    st.sampled_from(("L7", "X")),
+), max_size=6).map(" ".join)
+six = usually(
+    st.lists(small, min_size=6, max_size=6).map(lambda xs: ",".join(map(str, xs))),
+    st.just("1,2,3") | st.text(max_size=6),
+)
+
+
+def opt(draw, flag, values):
+    """``[flag, value]`` or nothing."""
+    return [flag, str(draw(values))] if draw(st.booleans()) else []
+
+
+@st.composite
+def argvs(draw, folder):
+    """argv for every subcommand with small, mostly valid values, sometimes
+    broken by a dropped or an extra token.  ``verify`` runs only its cheap
+    suites; depth, ``--max-len`` and ``--n`` stay small so nothing
+    enumerates for long."""
+    path = lambda: str(folder / draw(usually(
+        st.sampled_from(("b3.json", "id2.json")),
+        st.sampled_from(("float.json", "bad.json", "missing.json")),
+    )))
+    out = ["-o", str(folder / "out.json")]
+    cmd = draw(st.sampled_from(
+        ("mutate", "verify", "orbit", "stabilizer", "region", "braid", "pn", "nope")))
+    if cmd == "mutate":
+        argv = [cmd, path(), "--word", draw(word_text)] + out + opt(draw, "--format", fmt)
+    elif cmd == "verify":
+        argv = [cmd, draw(usually(st.sampled_from(("braid", "regions", "pn")), st.just("nope")))]
+        argv += opt(draw, "--seed", small) + opt(draw, "--format", fmt)
+    elif cmd == "orbit":
+        seed = draw(usually(
+            st.sampled_from(("file", "tuple")), st.sampled_from(("both", "neither"))))
+        argv = [cmd] + ([path()] if seed in ("file", "both") else [])
+        argv += ["--tuple", draw(six)] if seed in ("tuple", "both") else []
+        argv += ["--depth", str(draw(small))] + opt(draw, "--cap", small.map(lambda k: 10 * k))
+        argv += opt(draw, "--eq2-variant", usually(
+            st.sampled_from(("printed", "corrected")), st.just("x")))
+        argv += opt(draw, "--format", fmt)
+    elif cmd == "stabilizer":
+        argv = [cmd, path(), "--max-len", str(draw(small))]
+        argv += opt(draw, "--cap", small.map(lambda k: 10 * k))
+    elif cmd == "region":
+        argv = [cmd, draw(usually(st.sampled_from(("lemma41", "thm51", "strong")), st.just("x")))]
+        argv += opt(draw, "--kidx", small) + opt(draw, "--n", st.integers(-1, 6))
+        argv += opt(draw, "--format", fmt)
+    elif cmd == "braid":
+        argv = [cmd, draw(usually(st.just("nf"), st.just("x"))), draw(word_text)]
+        argv += opt(draw, "--strands", st.integers(-1, 6)) + opt(draw, "--format", fmt)
+    elif cmd == "pn":
+        argv = [cmd, "gram"] + opt(draw, "--n", st.integers(-1, 6))
+        argv += out if draw(st.booleans()) else []
+    else:
+        argv = [cmd]
+    if draw(st.integers(0, 7)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(
+            ("--depth", "--format", "--zzz", "7", "-1", "L0", "--help"))))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_exits_0_1_or_2(cli_folder, data):
+    for name, text in FILES.items():  # every example starts from the same files
+        (cli_folder / name).write_text(text)
+    argv = data.draw(argvs(cli_folder))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    assert status in (0, 1, 2)
