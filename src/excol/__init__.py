@@ -18,7 +18,6 @@ from .braid import (
 )
 from .collection import (
     NumericalCollection,
-    SerreMatrix,
     apply_word,
     from_gram,
     is_minus_kappa_unipotent,
@@ -68,7 +67,7 @@ from .regions import (
 __all__ = [
     "BraidWord", "GarsideForm", "WordSyntaxError", "center_word", "delta_word",
     "is_trivial", "normal_form", "parse_word",
-    "NumericalCollection", "SerreMatrix", "apply_word", "from_gram",
+    "NumericalCollection", "apply_word", "from_gram",
     "is_minus_kappa_unipotent", "is_strong_candidate", "left_mutation",
     "right_mutation", "serre_matrix",
     "SEED_BEILINSON", "SEED_DUAL", "CapExceededError", "GWord", "SixTuple",

@@ -4,8 +4,8 @@ Matrices are immutable tuples of row tuples.  Integer matrices stay
 integer: the one elimination (determinant and unimodular inverse) is
 fraction free, and no floating point is used anywhere.  Upper
 unitriangular systems need no elimination: one back substitution,
-``unitriangular_solve``, serves the inverse of a Gram matrix G, the
-Serre matrix G^-1 G^T and kappa + 1 = G^-1 (G + G^T).
+``unitriangular_solve``, serves the Serre matrix G^-1 G^T of a Gram
+matrix G, kappa + 1 = G^-1 (G + G^T) and the twist on K(P^n).
 """
 
 from __future__ import annotations
@@ -112,14 +112,6 @@ def unitriangular_solve(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(x)
 
 
-def unitriangular_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of an upper unitriangular integer matrix.
-
-    The inverse is again integer upper unitriangular.
-    """
-    return unitriangular_solve(a, identity(len(a)))
-
-
 def _bareiss(a: IntMatrix, augment: bool) -> tuple[int, list[list[int]]]:
     """Fraction-free Gauss-Jordan elimination of a square integer matrix.
 
@@ -161,11 +153,16 @@ def determinant(a: IntMatrix) -> int:
     return _bareiss(a, augment=False)[0]
 
 
-def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    det, adj = _bareiss(a, augment=True)
+def check_unimodular(det: int) -> None:
+    """Raise ValueError unless a determinant is +-1."""
     if det == 0:
         raise ValueError("matrix is singular")
     if det not in (1, -1):
         raise ValueError("matrix is not unimodular")
+
+
+def inverse_unimodular(a: IntMatrix) -> IntMatrix:
+    """Exact inverse of an integer matrix with determinant +-1."""
+    det, adj = _bareiss(a, augment=True)
+    check_unimodular(det)
     return freeze([[det * x for x in row] for row in adj])

@@ -16,7 +16,7 @@ All arithmetic is arbitrary-precision integer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _matrix
 from ._matrix import IntMatrix
@@ -25,15 +25,10 @@ from .braid import BraidWord
 
 @dataclass(frozen=True)
 class NumericalCollection:
-    """Euler-form Gram matrix, K-theory classes and ambient Euler form.
-
-    Equality and hashing use (gram, classes) only; the ambient form is
-    determined by the pair.
-    """
+    """Euler-form Gram matrix and K-theory classes."""
 
     gram: IntMatrix
     classes: IntMatrix
-    ambient: IntMatrix = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -50,17 +45,11 @@ class NumericalCollection:
             self.gram[i][j] for i in range(n1) for j in range(i + 1, n1)
         )
 
-    def conserves_pairing(self) -> bool:
-        """Check classes^T . ambient . classes == gram."""
-        ct = _matrix.transpose(self.classes)
-        return _matrix.mat_mul(_matrix.mat_mul(ct, self.ambient), self.classes) == self.gram
 
-
-@dataclass(frozen=True)
-class SerreMatrix:
-    """Integer matrix of the Serre functor's action on the K group."""
-
-    kappa: IntMatrix
+def conserves_pairing(c: NumericalCollection, form: IntMatrix) -> bool:
+    """Check classes^T . form . classes == gram for an Euler form on the K group."""
+    ct = _matrix.transpose(c.classes)
+    return _matrix.mat_mul(_matrix.mat_mul(ct, form), c.classes) == c.gram
 
 
 def from_gram(gram) -> NumericalCollection:
@@ -68,7 +57,7 @@ def from_gram(gram) -> NumericalCollection:
     g = _matrix.freeze(gram)
     if not _matrix.is_upper_unitriangular(g):
         raise ValueError("gram matrix must be upper triangular with unit diagonal")
-    return NumericalCollection(g, _matrix.identity(len(g)), g)
+    return NumericalCollection(g, _matrix.identity(len(g)))
 
 
 def _rank2(gram: IntMatrix, classes: IntMatrix, i: int, side: int) -> tuple[IntMatrix, IntMatrix]:
@@ -95,7 +84,7 @@ def _mutate(c: NumericalCollection, i: int, side: int) -> NumericalCollection:
     """Mutate the pair (i, i+1); side=+1 left, -1 right."""
     if not 0 <= i <= c.n - 1:
         raise IndexError(f"mutation index {i} out of range for n={c.n}")
-    return NumericalCollection(*_rank2(c.gram, c.classes, i, side), c.ambient)
+    return NumericalCollection(*_rank2(c.gram, c.classes, i, side))
 
 
 def left_mutation(c: NumericalCollection, i: int) -> NumericalCollection:
@@ -117,12 +106,12 @@ def apply_word(c: NumericalCollection, w: BraidWord) -> NumericalCollection:
     gram, classes = c.gram, c.classes
     for i, e in reversed(w.letters):  # indices were checked when w was built
         gram, classes = _rank2(gram, classes, i, e)
-    return NumericalCollection(gram, classes, c.ambient)
+    return NumericalCollection(gram, classes)
 
 
-def serre_matrix(c: NumericalCollection) -> SerreMatrix:
-    """kappa = gram^-1 . gram^T, exact integer entries."""
-    return SerreMatrix(_matrix.unitriangular_solve(c.gram, _matrix.transpose(c.gram)))
+def serre_matrix(c: NumericalCollection) -> IntMatrix:
+    """The Serre functor's action on the K group: kappa = gram^-1 . gram^T, exact."""
+    return _matrix.unitriangular_solve(c.gram, _matrix.transpose(c.gram))
 
 
 def _unipotent_gram(gram: IntMatrix) -> bool:
@@ -179,9 +168,7 @@ def _int_matrix(raw, size: int, what: str) -> IntMatrix:
 def from_json_text(text: str) -> NumericalCollection:
     """Parse the collection file format.
 
-    Every number must be a JSON integer.  The ambient Euler form is
-    reconstructed from the conservation identity
-    classes^T . ambient . classes == gram.
+    Every number must be a JSON integer and the classes unimodular.
     """
     try:
         with _matrix.unlimited_int_digits():
@@ -198,16 +185,13 @@ def from_json_text(text: str) -> NumericalCollection:
     if not _matrix.is_upper_unitriangular(gram):
         raise ValueError("gram matrix must be upper triangular with unit diagonal")
     if raw_classes == "identity":
-        classes = _matrix.identity(n + 1)
-        ambient = gram
-    else:
-        classes = _int_matrix(raw_classes, n + 1, "classes")
-        try:
-            inv = _matrix.inverse_unimodular(classes)
-        except ValueError as exc:
-            raise ValueError(f"classes {exc}") from exc
-        ambient = _matrix.mat_mul(_matrix.mat_mul(_matrix.transpose(inv), gram), inv)
-    return NumericalCollection(gram, classes, ambient)
+        return NumericalCollection(gram, _matrix.identity(n + 1))
+    classes = _int_matrix(raw_classes, n + 1, "classes")
+    try:
+        _matrix.check_unimodular(_matrix.determinant(classes))
+    except ValueError as exc:
+        raise ValueError(f"classes {exc}") from exc
+    return NumericalCollection(gram, classes)
 
 
 def load(path) -> NumericalCollection:

@@ -146,26 +146,6 @@ class GWord:
             out.extend(inv[let])
         return GWord(tuple(out))
 
-    def reduced(self) -> "GWord":
-        """Free reduction with respect to v^2 = w3^2 = w2^4 = 1."""
-        stack: list[tuple[str, int]] = []  # (base, exponent)
-        order = {V: 2, W3: 2, W2: 4}
-        for let in self.letters:
-            base, exp = (W2, -1) if let == W2_INV else (let, 1)
-            if stack and stack[-1][0] == base:
-                stack[-1] = (base, (stack[-1][1] + exp) % order[base])
-                if stack[-1][1] == 0:
-                    stack.pop()
-            else:
-                stack.append((base, exp % order[base]))
-        out: list[str] = []
-        for base, exp in stack:
-            if base == W2 and exp == 3:
-                out.append(W2_INV)
-            else:
-                out.extend([base] * exp)
-        return GWord(tuple(out))
-
     def apply(self, t: SixTuple) -> SixTuple:
         """Act on a tuple, rightmost letter first."""
         for let in reversed(self.letters):

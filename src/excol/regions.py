@@ -31,6 +31,8 @@ class DegreeMatrix:
     entries: tuple[tuple[float, ...], ...]  # ints, with math.inf sentinels
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("degree matrix needs at least one object")
         if len(self.entries) != self.n + 1 or any(
             len(row) != self.n + 1 for row in self.entries
         ):
@@ -45,20 +47,6 @@ class DegreeMatrix:
     def all_zero(cls, n: int) -> "DegreeMatrix":
         """Degrees of a strong collection with no orthogonal pairs."""
         return cls(n, tuple(tuple(0 for _ in range(n + 1)) for _ in range(n + 1)))
-
-    @classmethod
-    def for_strong_collection(cls, c) -> "DegreeMatrix":
-        """Degrees read off a strong candidate: every pair in degree zero.
-
-        Positive chi entries certify nonzero degree-zero Homs; for
-        non-strong collections the chi level does not determine the
-        degrees, so this refuses rather than guesses.
-        """
-        if any(x <= 0 for x in c.upper_entries()):
-            raise ValueError(
-                "Hom degrees are only determined by chi for strong candidates"
-            )
-        return cls.all_zero(c.n)
 
     def k(self, i: int, j: int) -> float:
         if not 0 <= i < j <= self.n:

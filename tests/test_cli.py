@@ -115,6 +115,16 @@ class TestMutate:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert path.read_text() == text
 
+    @pytest.mark.parametrize("classes, message", [
+        ("[[1,1],[1,1]]", "classes matrix is singular"),
+        ("[[2,0],[0,1]]", "classes matrix is not unimodular"),
+    ])
+    def test_classes_error_message(self, tmp_path, capsys, classes, message):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"n":1,"gram":[[1,2],[0,1]],"classes":{classes}}}\n')
+        status, out, err = run(capsys, ["mutate", str(path), "--word", "L0"])
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
     def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
@@ -335,6 +345,15 @@ class TestRegion:
         payload = json.loads(out)
         assert payload["feasible"] is True
         assert len(payload["constraints"]) == 6
+
+    def test_strong_one_object(self, capsys):
+        status, out, _ = run(capsys, ["region", "strong", "--n", "0"])
+        assert (status, out) == (0, "feasible, witness: 0\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_strong_negative_n_exits_2(self, capsys, fmt):
+        status, out, err = run(capsys, ["region", "strong", "--n", "-1", "--format", fmt])
+        assert (status, out, err) == (2, "", "error: degree matrix needs at least one object\n")
 
 
 class TestBraidNf:

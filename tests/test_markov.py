@@ -268,13 +268,6 @@ class TestGroupAction:
             for t in orbit(seed, 5):
                 assert all(rel.apply(t) == t for rel in G_RELATORS)
 
-    def test_gword_reduction(self):
-        assert GWord((V, V, W3)).reduced() == GWord((W3,))
-        assert GWord((W2, W2, W2, W2)).reduced() == GWord(())
-        assert GWord((W2, W2, W2)).reduced() == GWord((W2_INV,))
-        assert GWord((W2, W2_INV)).reduced() == GWord(())
-        assert GWord((V, W2, W2_INV, V)).reduced() == GWord(())
-
     def test_gword_inverse(self):
         rng = random.Random(21)
         letters = (V, W2, W2_INV, W3)
@@ -294,7 +287,8 @@ class TestHomomorphism:
         for i in range(3):
             left = f_image(parse_word(f"L{i}", 4))
             right = f_image(parse_word(f"R{i}", 4))
-            assert (left * right).reduced() == GWord(())
+            assert left == right.inverse()
+            assert fixes_symbolically(left * right)
 
     def test_empty_word(self):
         assert f_image(BraidWord(4)) == GWord(())

@@ -113,8 +113,7 @@ class TestUnitriangularSolve:
         rng = random.Random(44)
         for _ in range(100):
             a = random_unitriangular(rng, rng.randint(1, 9), 4)
-            inv = _matrix.unitriangular_inverse(a)
-            assert inv == _matrix.unitriangular_solve(a, _matrix.identity(len(a)))
+            inv = _matrix.unitriangular_solve(a, _matrix.identity(len(a)))
             assert _matrix.mat_mul(a, inv) == _matrix.identity(len(a))
             assert sympy.Matrix(inv) == sympy.Matrix(a).inv()
 

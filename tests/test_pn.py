@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+import sympy
 
 from excol import _matrix
 from excol.collection import is_strong_candidate
@@ -144,10 +145,9 @@ class TestSerreClassMap:
     def test_matches_gram_formula(self):
         for n in range(1, 5):
             gram = beilinson_collection(n).gram
-            kappa = _matrix.mat_mul(
-                _matrix.unitriangular_inverse(gram), _matrix.transpose(gram)
-            )
+            kappa = _matrix.unitriangular_solve(gram, _matrix.transpose(gram))
             assert serre_class_map(n) == kappa
+            assert sympy.Matrix(kappa) == sympy.Matrix(gram).inv() * sympy.Matrix(gram).T
 
     def test_p1_hand_value(self):
         assert serre_class_map(1) == ((-3, -2), (2, 1))

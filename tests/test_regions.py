@@ -6,9 +6,6 @@ from math import inf
 
 import pytest
 
-from excol.braid import parse_word
-from excol.collection import apply_word
-from excol.pn import beilinson_collection
 from excol.regions import (
     DegreeMatrix,
     FeasibilityResult,
@@ -115,19 +112,12 @@ class TestRegionSystem:
         system = region_system(d)
         assert len(system.constraints) == 2
 
-    def test_collection_input_and_trivial_word_invariance(self):
-        c = beilinson_collection(3)
-        looped = apply_word(c, parse_word("L0 L1 L0 R1 R0 R1", 4))
-        assert region_system(DegreeMatrix.for_strong_collection(c)) == region_system(
-            DegreeMatrix.for_strong_collection(looped)
-        )
-
-    def test_degree_matrix_refuses_orthogonal_pairs(self):
-        from excol.collection import from_gram
-        from excol._matrix import identity
-
-        with pytest.raises(ValueError):
-            DegreeMatrix.for_strong_collection(from_gram(identity(4)))
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_rejects_fewer_than_one_object(self, n):
+        with pytest.raises(ValueError, match="^degree matrix needs at least one object$"):
+            DegreeMatrix.all_zero(n)
+        with pytest.raises(ValueError, match="^degree matrix needs at least one object$"):
+            DegreeMatrix(n, ())
 
 
 class TestLemma41System:
