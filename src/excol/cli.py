@@ -221,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stabilizer", help="scan words fixing a collection")
     p.add_argument("file")
     p.add_argument("--max-len", type=int, required=True, dest="max_len")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=1_000_000,
+                   help="freely reduced words covered; past it, print the words "
+                        "up to the longest length within the cap and exit 1")
     p.set_defaults(func=cmd_stabilizer)
 
     p = sub.add_parser("region", help="print a phase-inequality system")

@@ -242,52 +242,101 @@ def orbit(seed: OrbitSeed, depth: int, cap: int = 100_000) -> dict:
     return seen
 
 
+def _reachable_length(alphabet: int, max_len: int, cap: int) -> int:
+    """The largest L <= max_len with N(L) <= cap for an alphabet of size a >= 2.
+
+    N(L) = sum_{k=1..L} a (a-1)^(k-1) counts the nonempty freely reduced
+    words up to length L.  It is 2L when a == 2 and grows geometrically
+    for a >= 3, so the search takes O(log cap) steps.
+    """
+    if alphabet == 2:
+        return min(max_len, cap // 2)
+    length, total = 0, 0
+    while length < max_len:
+        total += alphabet * (alphabet - 1) ** length
+        if total > cap:
+            break
+        length += 1
+    return length
+
+
 def stabilizer_scan(
     c: NumericalCollection, max_len: int, cap: int = 1_000_000
 ) -> list[BraidWord]:
     """All freely reduced words up to ``max_len`` fixing (gram, classes).
 
-    Enumerates by an iterative depth-first search over the mutation
-    letters.  Each node carries a bare (gram, classes) pair and costs one
-    call of the rank-2 kernel ``collection._rank2``; no collection is
-    built, and a ``BraidWord`` only for a word that fixes the pair.  The
-    empty word is omitted.  Results come back sorted by length then
-    letters.  Raises CapExceededError (partial list attached) if more
-    than ``cap`` words are visited, and ValueError if ``max_len`` is
-    negative.
+    Meets in the middle: every freely reduced sequence of at most
+    ceil(max_len/2) mutation letters is applied level by level through the
+    rank-2 kernel ``collection._rank2`` on bare (gram, classes) pairs, and
+    each level is indexed by the pair it reaches.  A word whose applied
+    letters are y then v, with len(y) = ceil(m/2) for its length m, fixes
+    the pair exactly when y reaches the same pair as the sequence u of the
+    inverses of v's letters, applied in reverse; the word is freely
+    reduced exactly when the last applied letters of y and u differ.  A
+    ``BraidWord`` is built only for such a match.  The empty word is
+    omitted.  Results come back sorted by length then letters.
+
+    ``cap`` bounds the freely reduced words covered: with 2n letters
+    there are N(L) = sum_{k=1..L} 2n (2n-1)^(k-1) of length 1..L.  If
+    N(max_len) > max(cap, 0), raises CapExceededError with the complete
+    sorted result for the largest L' with N(L') <= cap attached; the scan
+    then holds about sqrt(cap) half-sequences.  Raises ValueError if
+    ``max_len`` is negative.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
-    letters = _letters_for(c)
-    target = (c.gram, c.classes)
+    # letter code k stands for alphabet[k]; the inverse of code k is k ^ 1,
+    # and codes compare as the letters do
+    alphabet = sorted(_letters_for(c))
+    if not alphabet:  # a single object admits no mutation: N = 0
+        return []
+    reach = _reachable_length(len(alphabet), max_len, max(cap, 0))
+    # levels[k]: (pair, index of the predecessor in levels[k-1], last code,
+    # -1 for the empty sequence) for each freely reduced sequence of k
+    # applied letters
+    levels = [[((c.gram, c.classes), -1, -1)]]
+    for _ in range((reach + 1) // 2):
+        levels.append([
+            (_rank2(gram, classes, i, e), p, code)
+            for p, ((gram, classes), _, last) in enumerate(levels[-1])
+            for code, (i, e) in enumerate(alphabet)
+            if code != last ^ 1
+        ])
+    index = []
+    for level in levels[: reach // 2 + 1]:
+        by_pair: dict = {}
+        for pos, (pair, _, _) in enumerate(level):
+            by_pair.setdefault(pair, []).append(pos)
+        index.append(by_pair)
+
+    def applied(k: int, pos: int) -> list[int]:
+        """The codes applied by levels[k][pos], last first."""
+        out = []
+        while k:
+            _, pos, code = levels[k][pos]
+            out.append(code)
+            k -= 1
+        return out
+
     found: list[BraidWord] = []
-    visited = 0
-    path: list[Letter] = []
-    # depth-first: one (state, pending letters) entry per node on the path
-    stack = [(target, iter(letters))] if max_len else []
-    while stack:
-        state, pending = stack[-1]
-        let = next(pending, None)
-        if let is None:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        if path and path[-1] == (let[0], -let[1]):
-            continue  # not freely reduced
-        visited += 1
-        if visited > cap:
-            raise CapExceededError(
-                f"stabilizer scan exceeded cap of {cap} words", found
-            )
-        nxt = _rank2(state[0], state[1], let[0], let[1])
-        path.append(let)
-        if nxt == target:
-            # letters were applied first-to-last, so the word reads reversed
-            found.append(BraidWord(c.strands, tuple(reversed(path))))
-        if len(path) < max_len:
-            stack.append((nxt, iter(letters)))
-        else:
-            path.pop()
-    found.sort(key=lambda w: (len(w.letters), w.letters))
+    for m in range(1, reach + 1):
+        k, j = (m + 1) // 2, m // 2
+        partners = index[j]
+        spellings = []
+        for pos, (pair, _, last) in enumerate(levels[k]):
+            # the seam is freely reduced when the last applied codes differ
+            matches = [u for u in partners.get(pair, ()) if levels[j][u][2] != last]
+            if not matches:
+                continue
+            tail = applied(k, pos)
+            for upos in matches:
+                # textual order: the inverses of u's codes in applied order,
+                # then y's codes last applied first
+                head = [code ^ 1 for code in applied(j, upos)]
+                head.reverse()
+                spellings.append(tuple(head + tail))
+        spellings.sort()
+        found.extend(BraidWord(c.strands, tuple(map(alphabet.__getitem__, w))) for w in spellings)
+    if reach < max_len:
+        raise CapExceededError(f"stabilizer scan exceeded cap of {cap} words", found)
     return found

@@ -5,7 +5,6 @@ floating point tolerances anywhere.  Each test prints one PASS/FAIL
 line for its criterion.
 """
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,7 +19,6 @@ from excol.markov import (
     MUTATION_LETTERS,
     SEED_BEILINSON,
     SEED_DUAL,
-    GWord,
     SixTuple,
     W2,
     apply_g,

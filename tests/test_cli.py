@@ -8,7 +8,6 @@ from excol import _matrix
 from excol.braid import BraidWord, is_trivial, parse_word
 from excol.cli import main
 from excol.collection import load, to_json_text
-from excol.markov import SEED_DUAL, eval_eq1
 from excol.pn import beilinson_collection
 
 
@@ -279,11 +278,15 @@ class TestStabilizer:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_deep_scan_ends_at_cap(self, beilinson_file, capsys):
-        status, _, err = run(
+        # 4686 freely reduced words have length at most 5, 23436 at most 6
+        status, out, err = run(
             capsys, ["stabilizer", str(beilinson_file), "--max-len", "2000", "--cap", "5000"]
         )
         assert status == 1
-        assert "cap of 5000 exceeded" in err
+        assert err == "cap of 5000 exceeded; output is partial\n"
+        status, complete, _ = run(capsys, ["stabilizer", str(beilinson_file), "--max-len", "5"])
+        assert status == 0
+        assert out == complete and len(out.splitlines()) == 8
 
     def test_takes_no_format_option(self, beilinson_file, capsys):
         with pytest.raises(SystemExit) as exc:

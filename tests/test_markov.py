@@ -17,6 +17,7 @@ from excol.markov import (
     W2,
     W2_INV,
     W3,
+    _reachable_length,
     apply_g,
     check_equivariance,
     eval_eq1,
@@ -106,15 +107,22 @@ def assert_matches_recursive_scan(c, max_len, cap):
 
     try:
         rec(c, [])
-        expected, partial = sorted(found, key=lambda w: (len(w), w.letters)), None
-    except CapExceededError as exc:
-        expected, partial = None, exc.partial
-    if partial is None:
+        expected = sorted(found, key=lambda w: (len(w), w.letters))
+    except CapExceededError:
+        expected = None
+    if expected is not None:
         assert stabilizer_scan(c, max_len, cap=cap) == expected
     else:
+        # the partial list is the whole scan at the longest length the cap covers
         with pytest.raises(CapExceededError) as exc:
             stabilizer_scan(c, max_len, cap=cap)
-        assert exc.value.partial == partial
+        reach = max(L for L in range(max_len + 1) if words_counted(6, L) <= max(cap, 0))
+        assert exc.value.partial == stabilizer_scan(c, reach)
+
+
+def words_counted(alphabet, length):
+    """The nonempty freely reduced words of length at most ``length``."""
+    return sum(alphabet * (alphabet - 1) ** (k - 1) for k in range(1, length + 1))
 
 
 def symbolic_tuple():
@@ -433,11 +441,15 @@ class TestStabilizerScan:
         with pytest.raises(CapExceededError):
             stabilizer_scan(beilinson_collection(3), 6, cap=100)
 
-    @pytest.mark.parametrize("max_len,cap", [(0, 10), (1, 10), (4, 10_000), (5, 700)])
+    @pytest.mark.parametrize("max_len,cap", [
+        (0, 10), (1, 10), (4, 10_000), (5, 700), (6, 10**6), (0, -10), (1, 0), (2, 36), (3, 36),
+    ])
     def test_matches_recursive_reference(self, max_len, cap):
         assert_matches_recursive_scan(from_gram(_matrix.identity(4)), max_len, cap)
 
-    @pytest.mark.parametrize("max_len,cap", [(1, 10), (4, 10_000), (5, 10_000), (5, 700)])
+    @pytest.mark.parametrize("max_len,cap", [
+        (1, 10), (4, 10_000), (5, 10_000), (5, 700), (6, 10**6), (1, -10), (3, 185), (3, 186),
+    ])
     def test_b3_matches_recursive_reference(self, max_len, cap):
         # along a word the classes of b3 change, those of the identity never do
         assert_matches_recursive_scan(beilinson_collection(3), max_len, cap)
@@ -445,3 +457,43 @@ class TestStabilizerScan:
     def test_negative_max_len(self):
         with pytest.raises(ValueError):
             stabilizer_scan(beilinson_collection(3), -3)
+        with pytest.raises(ValueError):
+            stabilizer_scan(beilinson_collection(3), -3, cap=-10)
+
+    def test_single_object_never_exceeds_cap(self):
+        # no letters, so no word is covered and no cap is exceeded
+        c = from_gram(((1,),))
+        assert stabilizer_scan(c, 5, cap=-10) == []
+        assert stabilizer_scan(c, 10**18, cap=0) == []
+
+    def test_two_objects_cover_two_words_per_length(self):
+        # L0 and R0 turn the classes of an orthogonal pair by a quarter
+        c = from_gram(_matrix.identity(2))
+        quarter_turns = [parse_word(t, 2) for t in ("R0 " * 4, "L0 " * 4, "R0 " * 8, "L0 " * 8)]
+        assert stabilizer_scan(c, 9, cap=18) == quarter_turns
+        assert stabilizer_scan(c, 0, cap=-10) == []
+        with pytest.raises(CapExceededError) as exc:
+            stabilizer_scan(c, 9, cap=17)
+        assert exc.value.partial == quarter_turns
+        with pytest.raises(CapExceededError) as exc:
+            stabilizer_scan(c, 10**18, cap=9)
+        assert exc.value.partial == quarter_turns[:2]
+
+    def test_reachable_length(self):
+        for alphabet in (2, 4, 6):
+            for max_len in range(6):
+                for cap in range(400):
+                    expected = max(L for L in range(max_len + 1)
+                                   if words_counted(alphabet, L) <= cap)
+                    assert _reachable_length(alphabet, max_len, cap) == expected
+        # closed form for two letters, geometric growth otherwise
+        assert _reachable_length(2, 10**18, 10**18) == 5 * 10**17
+        reach = _reachable_length(6, 10**18, 10**100)
+        assert words_counted(6, reach) <= 10**100 < words_counted(6, reach + 1)
+
+    def test_b3_length_10_words_are_trivial(self):
+        c = beilinson_collection(3)
+        words = stabilizer_scan(c, 10, cap=10**8)
+        assert len(words) == 10_880
+        assert all(is_trivial(w) for w in words)
+        assert all(apply_word(c, w) == c for w in words)
