@@ -16,6 +16,19 @@ from . import _matrix, collection, markov, pn, regions, suites
 from .braid import normal_form, parse_word
 from .markov import CapExceededError, SixTuple
 
+# Upper bounds on the size options, checked before anything is allocated:
+# the strong region system has O(n^3) entries, the twist collection on
+# P^n has O(n^2) entries of O(n) bits, and a braid factor on N strands
+# is a permutation of N points.
+MAX_REGION_N = 128
+MAX_PN_N = 256
+MAX_STRANDS = 256
+
+
+def _check_at_most(flag: str, value: int, bound: int) -> None:
+    if value > bound:
+        raise ValueError(f"{flag} must be at most {bound}")
+
 
 def _parse_tuple(text: str) -> SixTuple:
     parts = [p.strip() for p in text.split(",")]
@@ -155,12 +168,14 @@ def cmd_region(args) -> int:
                 print(f"# {name}")
             status |= _print_system(system, args.format)
         return status
+    _check_at_most("--n", args.n, MAX_REGION_N)
     return _print_system(
         regions.region_system(regions.DegreeMatrix.all_zero(args.n)), args.format
     )
 
 
 def cmd_braid_nf(args) -> int:
+    _check_at_most("--strands", args.strands, MAX_STRANDS)
     word = parse_word(args.word, args.strands)
     nf = normal_form(word)
     if args.format == "json":
@@ -176,6 +191,7 @@ def cmd_braid_nf(args) -> int:
 
 
 def cmd_pn_gram(args) -> int:
+    _check_at_most("--n", args.n, MAX_PN_N)
     c = pn.beilinson_collection(args.n)
     if args.output:
         collection.save(c, args.output)
@@ -229,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="print a phase-inequality system")
     p.add_argument("which", choices=("lemma41", "thm51", "strong"))
     p.add_argument("--kidx", type=int, default=0)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=3,
+                   help=f"strong system on n+1 objects; n at most {MAX_REGION_N}")
     add_format(p)
     p.set_defaults(func=cmd_region)
 
@@ -237,14 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     braid_sub = p.add_subparsers(dest="braid_cmd", required=True)
     q = braid_sub.add_parser("nf", help="Garside normal form of a word")
     q.add_argument("word")
-    q.add_argument("--strands", type=int, default=4)
+    q.add_argument("--strands", type=int, default=4, help=f"at most {MAX_STRANDS}")
     add_format(q)
     q.set_defaults(func=cmd_braid_nf)
 
     p = sub.add_parser("pn", help="projective space data")
     pn_sub = p.add_subparsers(dest="pn_cmd", required=True)
     q = pn_sub.add_parser("gram", help="emit the twist collection on P^n")
-    q.add_argument("--n", type=int, default=3)
+    q.add_argument("--n", type=int, default=3, help=f"dimension of P^n, at most {MAX_PN_N}")
     q.add_argument("-o", "--output", default=None)
     q.set_defaults(func=cmd_pn_gram)
 

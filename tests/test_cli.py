@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from excol import _matrix
+from excol import _matrix, cli
 from excol.braid import BraidWord, is_trivial, parse_word
 from excol.cli import main
 from excol.collection import load, to_json_text
@@ -36,6 +36,17 @@ class TestPnGram:
             "gram": [[1, 2], [0, 1]],
             "classes": "identity",
         }
+
+    def test_above_bound_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "p.json"
+        status, out, err = run(capsys, ["pn", "gram", "--n", "257", "-o", str(target)])
+        assert (status, out, err) == (2, "", "error: --n must be at most 256\n")
+        assert not target.exists()
+
+    def test_bound_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_PN_N", 2)
+        assert run(capsys, ["pn", "gram", "--n", "2"])[0] == 0
+        assert run(capsys, ["pn", "gram", "--n", "3"])[0] == 2
 
 
 class TestMutate:
@@ -358,6 +369,42 @@ class TestRegion:
         status, out, err = run(capsys, ["region", "strong", "--n", "-1", "--format", fmt])
         assert (status, out, err) == (2, "", "error: degree matrix needs at least one object\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_strong_above_bound_exits_2(self, capsys, fmt):
+        status, out, err = run(capsys, ["region", "strong", "--n", "129", "--format", fmt])
+        assert (status, out, err) == (2, "", "error: --n must be at most 128\n")
+
+    def test_strong_bound_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_REGION_N", 3)
+        status, out, _ = run(capsys, ["region", "strong", "--n", "3"])
+        assert status == 0 and out.count("\n") == 7
+        assert run(capsys, ["region", "strong", "--n", "4"])[0] == 2
+
+
+class TestPinnedRegionOutputs:
+    """sha256 of the stdout of the region commands, taken from the dense
+    Fourier-Motzkin elimination and the pairwise chain minima that the
+    sparse rows and the one-pass minima replaced."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["region", "strong", "--n", "32"],
+         "a021a56661072c7280c5b8c22c9282938c54ac4ea2b5c525030e06684fbcb405"),
+        (["region", "strong", "--n", "32", "--format", "json"],
+         "2539808eb3a55aa6770fa7da9167ab01f8ce482d5bd8730f47a042946158d6c4"),
+        (["region", "thm51"],
+         "f0f7ca6bdd1a866565e179444cef8d6859de51fdb2b38a0cc448a9a5e5b9eb3a"),
+        (["region", "lemma41", "--kidx", "0"],
+         "cefa58fca419200d296ed7b096e1c527db89df91fd0ee527e10d486c6bbc91eb"),
+        (["region", "lemma41", "--kidx", "1"],
+         "2380093a7e7ca648758cd2a7e45a2fd02bfdf76964c9961f7eafcdaf96178e45"),
+        (["region", "lemma41", "--kidx", "2"],
+         "0717ec35515ad5b107f8059497bfd1a635c629bb295d04bc483072af35e49284"),
+    ])
+    def test_stdout_digest(self, capsys, argv, digest):
+        status, out, err = run(capsys, argv)
+        assert (status, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestBraidNf:
     def test_delta(self, capsys):
@@ -374,3 +421,11 @@ class TestBraidNf:
         status, _, err = run(capsys, ["braid", "nf", "Q3"])
         assert status == 2
         assert "error" in err
+
+    def test_strands_above_bound_exits_2(self, capsys):
+        status, out, err = run(capsys, ["braid", "nf", "L0", "--strands", "257"])
+        assert (status, out, err) == (2, "", "error: --strands must be at most 256\n")
+
+    def test_strands_at_bound(self, capsys):
+        status, out, _ = run(capsys, ["braid", "nf", "L0 R0", "--strands", "256"])
+        assert status == 0 and out.endswith("trivial: True\n")

@@ -14,7 +14,7 @@ import json  # noqa: E402
 
 from excol import _matrix  # noqa: E402
 from excol.braid import BraidWord, is_trivial, normal_form  # noqa: E402
-from excol.cli import main  # noqa: E402
+from excol.cli import MAX_PN_N, MAX_REGION_N, MAX_STRANDS, main  # noqa: E402
 from excol.collection import (  # noqa: E402
     NumericalCollection,
     _mutate,
@@ -220,6 +220,12 @@ six = usually(
 )
 
 
+def size(bound):
+    """A small size, and one time in eight a value above ``bound``, which
+    the command rejects before it allocates anything."""
+    return usually(st.integers(-1, 6), st.integers(bound + 1, 10**30))
+
+
 def opt(draw, flag, values):
     """``[flag, value]`` or nothing."""
     return [flag, str(draw(values))] if draw(st.booleans()) else []
@@ -229,8 +235,8 @@ def opt(draw, flag, values):
 def argvs(draw, folder):
     """argv for every subcommand with small, mostly valid values, sometimes
     broken by a dropped or an extra token.  ``verify`` runs only its cheap
-    suites; depth, ``--max-len`` and ``--n`` stay small so nothing
-    enumerates for long."""
+    suites; depth and ``--max-len`` stay small so nothing enumerates for
+    long, and a size option is small or above its bound."""
     path = lambda: str(folder / draw(usually(
         st.sampled_from(("b3.json", "id2.json")),
         st.sampled_from(("float.json", "bad.json", "missing.json")),
@@ -257,13 +263,13 @@ def argvs(draw, folder):
         argv += opt(draw, "--cap", small.map(lambda k: 10 * k))
     elif cmd == "region":
         argv = [cmd, draw(usually(st.sampled_from(("lemma41", "thm51", "strong")), st.just("x")))]
-        argv += opt(draw, "--kidx", small) + opt(draw, "--n", st.integers(-1, 6))
+        argv += opt(draw, "--kidx", small) + opt(draw, "--n", size(MAX_REGION_N))
         argv += opt(draw, "--format", fmt)
     elif cmd == "braid":
         argv = [cmd, draw(usually(st.just("nf"), st.just("x"))), draw(word_text)]
-        argv += opt(draw, "--strands", st.integers(-1, 6)) + opt(draw, "--format", fmt)
+        argv += opt(draw, "--strands", size(MAX_STRANDS)) + opt(draw, "--format", fmt)
     elif cmd == "pn":
-        argv = [cmd, "gram"] + opt(draw, "--n", st.integers(-1, 6))
+        argv = [cmd, "gram"] + opt(draw, "--n", size(MAX_PN_N))
         argv += out if draw(st.booleans()) else []
     else:
         argv = [cmd]

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import inf
@@ -12,6 +13,8 @@ from excol.regions import (
     InequalitySystem,
     PhasePoint,
     _certificate_valid,
+    _pair_row,
+    _region_rows,
     alpha,
     contains,
     is_feasible,
@@ -118,6 +121,18 @@ class TestRegionSystem:
             DegreeMatrix.all_zero(n)
         with pytest.raises(ValueError, match="^degree matrix needs at least one object$"):
             DegreeMatrix(n, ())
+
+
+class TestDegreeMatrixInput:
+    @pytest.mark.parametrize("entry", [0.5, 2.0, True, False, math.nan, -inf, Fraction(1), "1"])
+    def test_rejects_non_integer_entries(self, entry):
+        with pytest.raises(ValueError) as exc:
+            DegreeMatrix.from_rows([[0, entry], [0, 0]])
+        assert str(exc.value) == f"degree matrix entries must be ints or math.inf, got {entry!r}"
+
+    def test_accepts_ints_and_inf(self):
+        d = DegreeMatrix.from_rows([[0, inf, -3], [0, 0, float("inf")], [0, 0, 0]])
+        assert alpha(d, 0, 2) == -3 and alpha(d, 0, 1) == inf and alpha(d, 1, 2) == inf
 
 
 class TestLemma41System:
@@ -281,6 +296,39 @@ class TestFeasibility:
                 assert contains(system, mid)
 
 
+class TestBuildInput:
+    @pytest.mark.parametrize("rows", [
+        [([1, 0.5], 0)],
+        [([1, -1], 0.0)],
+        [([True, -1], 0)],
+        [([1, -1], False)],
+        [([1, "1/2"], 0)],
+    ])
+    def test_rejects_floats_bools_and_other_types(self, rows):
+        with pytest.raises(ValueError, match="^inequality entries must be ints or Fractions, got "):
+            InequalitySystem.build(2, rows)
+
+    def test_names_the_first_bad_entry(self):
+        with pytest.raises(ValueError) as exc:
+            InequalitySystem.build(2, [([1, -1], 0), ([0.25, True], 1.5)])
+        assert str(exc.value) == "inequality entries must be ints or Fractions, got 0.25"
+
+    def test_one_fraction_per_distinct_value(self):
+        system = InequalitySystem.build(
+            3, [([1, -1, 0], 0), ([Fraction(1), 0, -1], Fraction(-1, 2)), ([0, 1, -1], -1)]
+        )
+        entries = [x for coeffs, bound in system.constraints for x in coeffs + (bound,)]
+        assert all(type(x) is Fraction for x in entries)
+        assert len({id(x) for x in entries}) == len(set(entries)) == 4
+
+    def test_sparse_rows_hold_the_nonzero_entries(self):
+        system = InequalitySystem.build(3, [([1, 0, -1], 2), ([0, 0, 0], 1)])
+        assert system.sparse_rows == (
+            (((0, Fraction(1)), (2, Fraction(-1))), Fraction(2)),
+            ((), Fraction(1)),
+        )
+
+
 class TestContains:
     def test_dimension_mismatch(self):
         system = InequalitySystem.build(2, [([1, -1], 0)])
@@ -425,3 +473,59 @@ def test_pinned_rows_text():
         for key, s in systems.items()
     }
     assert digests == ROW_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel against dense and pairwise references
+
+def dense_contains(s: InequalitySystem, point) -> bool:
+    """Strict membership with every product, zero coefficients included."""
+    values = tuple(Fraction(x) for x in point)
+    return all(
+        sum(c * v for c, v in zip(coeffs, values)) < bound for coeffs, bound in s.constraints
+    )
+
+
+class TestSparseKernel:
+    def test_one_pass_rows_match_chain_enumeration(self):
+        rng = random.Random(35)
+        for _ in range(150):
+            n = rng.randint(0, 6)
+            d = random_degree_matrix(rng, n)
+            expected = [
+                _pair_row(n + 1, i, j, alpha_by_chain_enumeration(d, i, j))
+                for i in range(n + 1)
+                for j in range(i + 1, n + 1)
+                if alpha_by_chain_enumeration(d, i, j) != inf
+            ]
+            assert _region_rows(d, n + 1) == expected
+
+    def test_contains_matches_dense_reference(self):
+        rng = random.Random(36)
+        values = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-5, 3)]
+        on_boundary = 0
+        for _ in range(400):
+            dim = rng.randint(1, 5)
+            point = tuple(rng.choice(values) for _ in range(dim))
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                coeffs = [rng.choice(values) for _ in range(dim)]
+                at_point = sum(c * v for c, v in zip(coeffs, point))
+                # a bound of exactly <c, p> puts the point on the boundary
+                bound = at_point + rng.choice((0, 0, Fraction(1, 7), Fraction(-1, 7)))
+                rows.append((coeffs, bound))
+            system = InequalitySystem.build(dim, rows)
+            for p in (point, tuple(x + Fraction(1, 11) for x in point)):
+                assert contains(system, p) == dense_contains(system, p)
+            on_boundary += any(
+                sum(c * v for c, v in zip(coeffs, point)) == bound
+                for coeffs, bound in system.constraints
+            )
+        assert on_boundary >= 100
+
+    def test_strong_system_at_64_is_feasible(self):
+        system = region_system(DegreeMatrix.all_zero(64))
+        assert len(system.constraints) == 65 * 64 // 2
+        res = is_feasible(system)
+        assert res.feasible
+        assert contains(system, res.witness) and dense_contains(system, res.witness)
