@@ -22,7 +22,8 @@ to right (p then q), matching word order.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+
+from ._value import Value
 
 Perm = tuple[int, ...]
 Letter = tuple[int, int]
@@ -184,12 +185,15 @@ def _normalize_factors(strands: int, factors: list[Perm]) -> tuple[int, tuple[Pe
 # ---------------------------------------------------------------------------
 # words
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Value):
     """A word in the Artin generators, letters in textual order."""
 
-    strands: int
-    letters: tuple[Letter, ...] = ()
+    _fields = __slots__ = ("strands", "letters")
+
+    def __init__(self, strands: int, letters: tuple[Letter, ...] = ()):
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.strands < 1:
@@ -242,6 +246,8 @@ def parse_word(text: str, strands: int) -> BraidWord:
     ``L<i>`` and ``s<i>`` mean sigma_i, ``R<i>`` and ``s<i>^-1`` mean its
     inverse.  Letters are kept in textual order; the rightmost acts first.
     """
+    if strands < 1:
+        raise ValueError(f"strand count must be positive, got {strands}")
     letters: list[Letter] = []
     for token in text.split():
         kind = token[0]
@@ -282,13 +288,16 @@ def center_word(strands: int = 4) -> BraidWord:
 # ---------------------------------------------------------------------------
 # normal forms
 
-@dataclass(frozen=True)
-class GarsideForm:
+class GarsideForm(Value):
     """Left Garside normal form D^infimum . factors, factors left weighted."""
 
-    strands: int
-    infimum: int
-    factors: tuple[Perm, ...] = ()
+    _fields = __slots__ = ("strands", "infimum", "factors")
+
+    def __init__(self, strands: int, infimum: int, factors: tuple[Perm, ...] = ()):
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "infimum", infimum)
+        object.__setattr__(self, "factors", factors)
+        self.__post_init__()
 
     def __post_init__(self):
         w0 = _w0(self.strands)

@@ -16,15 +16,14 @@ All arithmetic is arbitrary-precision integer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _matrix
 from ._matrix import IntMatrix
 from .braid import BraidWord
 
 
-@dataclass(frozen=True)
-class NumericalCollection:
+class NumericalCollection(NamedTuple):
     """Euler-form Gram matrix and K-theory classes."""
 
     gram: IntMatrix

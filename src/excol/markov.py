@@ -11,10 +11,10 @@ evidence for the freeness of the mutation action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from . import _matrix
+from ._value import Value
 from .braid import BraidWord, Letter, delta_word
 from .collection import NumericalCollection, _mutate, _rank2, _unipotent_gram, apply_word
 
@@ -125,11 +125,14 @@ def apply_g(t: SixTuple, letter: str) -> SixTuple:
     raise ValueError(f"unknown group letter {letter!r}")
 
 
-@dataclass(frozen=True)
-class GWord:
+class GWord(Value):
     """Word over the alphabet {v, w2, w2^-1, w3}, textual order."""
 
-    letters: tuple[str, ...] = ()
+    _fields = __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[str, ...] = ()):
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self):
         for let in self.letters:

@@ -24,22 +24,26 @@ at n=64 (2080 rows).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
 from math import inf
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
+
+from ._value import Value
 
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class DegreeMatrix:
+class DegreeMatrix(Value):
     """Minimal nonzero Hom degrees k_{i,j} for i < j; inf means none."""
 
-    n: int
-    entries: tuple[tuple[float, ...], ...]  # ints, with math.inf sentinels
+    _fields = __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries: tuple[tuple[float, ...], ...]):  # ints, math.inf sentinels
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 0:
@@ -69,12 +73,15 @@ class DegreeMatrix:
         return self.entries[i][j]
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(Value):
     """Masses and phases of the objects; masses must be positive."""
 
-    m: tuple[Fraction, ...]
-    phi: tuple[Fraction, ...]
+    _fields = __slots__ = ("m", "phi")
+
+    def __init__(self, m: tuple[Fraction, ...], phi: tuple[Fraction, ...]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "phi", phi)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.m) != len(self.phi):
@@ -83,29 +90,20 @@ class PhasePoint:
             raise ValueError("masses must be positive")
 
 
-Constraint = tuple[tuple[Fraction, ...], Fraction]  # <coeffs, phi> < bound
 SparseRow = tuple[tuple[tuple[int, Fraction], ...], Fraction]  # nonzero (var, coeff), bound
 
 
-@dataclass(frozen=True)
-class InequalitySystem:
-    """Finite conjunction of strict linear inequalities over the rationals."""
+class InequalitySystem(Value):
+    """Finite conjunction of strict inequalities <coeffs, phi> < bound.
 
-    dimension: int
-    constraints: tuple[Constraint, ...]
+    Entries must be ints or Fractions, not floats or bools; each distinct
+    value is stored as one shared ``Fraction``."""
 
-    def __post_init__(self):
-        for coeffs, _ in self.constraints:
-            if len(coeffs) != self.dimension:
-                raise ValueError("constraint arity does not match dimension")
+    _fields = ("dimension", "constraints")
+    __slots__ = _fields + ("__dict__",)  # the dict holds sparse_rows
 
-    @classmethod
-    def build(
-        cls, dimension: int, rows: Sequence[tuple[Sequence[Rational], Rational]]
-    ) -> "InequalitySystem":
-        """System from rows of int or Fraction entries; floats and bools are
-        rejected.  Each distinct value becomes one shared ``Fraction``."""
-        rows = [(tuple(coeffs), bound) for coeffs, bound in rows]
+    def __init__(self, dimension: int, constraints: Sequence[tuple[Sequence[Rational], Rational]]):
+        rows = [(tuple(coeffs), bound) for coeffs, bound in constraints]
         entries = list(chain.from_iterable(coeffs + (bound,) for coeffs, bound in rows))
         bad_types = set(map(type, entries)) - {int, Fraction}
         if bad_types:
@@ -113,7 +111,14 @@ class InequalitySystem:
             raise ValueError(f"inequality entries must be ints or Fractions, got {bad!r}")
         value = {x: Fraction(x) for x in set(entries)}.__getitem__
         frozen = tuple((tuple(map(value, coeffs)), value(bound)) for coeffs, bound in rows)
-        return cls(dimension, frozen)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "constraints", frozen)
+        self.__post_init__()
+
+    def __post_init__(self):
+        for coeffs, _ in self.constraints:
+            if len(coeffs) != self.dimension:
+                raise ValueError("constraint arity does not match dimension")
 
     @cached_property
     def sparse_rows(self) -> tuple[SparseRow, ...]:
@@ -182,7 +187,7 @@ def _region_rows(d: DegreeMatrix, dim: int) -> list:
 
 def region_system(d: DegreeMatrix) -> InequalitySystem:
     """Inequalities phi_i - phi_j < alpha_{i,j}; infinite offsets drop out."""
-    return InequalitySystem.build(d.n + 1, _region_rows(d, d.n + 1))
+    return InequalitySystem(d.n + 1, _region_rows(d, d.n + 1))
 
 
 def lemma41_system(kidx: int, n: int = 3) -> InequalitySystem:
@@ -198,7 +203,7 @@ def lemma41_system(kidx: int, n: int = 3) -> InequalitySystem:
     rows.append(_pair_row(n + 1, kidx + 1, kidx, 1))
     for i in range(2, n - kidx + 1):
         rows.append(_pair_row(n + 1, kidx + 1, kidx + i, -(i - 1)))
-    return InequalitySystem.build(n + 1, rows)
+    return InequalitySystem(n + 1, rows)
 
 
 def thm51_systems() -> tuple[InequalitySystem, InequalitySystem, InequalitySystem]:
@@ -213,7 +218,7 @@ def thm51_systems() -> tuple[InequalitySystem, InequalitySystem, InequalitySyste
     """
     strong = DegreeMatrix.all_zero(3)
     strong4 = _region_rows(strong, 4)
-    left = InequalitySystem.build(
+    left = InequalitySystem(
         4,
         strong4
         + [
@@ -223,7 +228,7 @@ def thm51_systems() -> tuple[InequalitySystem, InequalitySystem, InequalitySyste
             _pair_row(4, 3, 2, 1),
         ],
     )
-    right = InequalitySystem.build(
+    right = InequalitySystem(
         4,
         strong4
         + [
@@ -234,7 +239,7 @@ def thm51_systems() -> tuple[InequalitySystem, InequalitySystem, InequalitySyste
         ],
     )
     strong5 = _region_rows(strong, 5)
-    overlap = InequalitySystem.build(
+    overlap = InequalitySystem(
         5,
         strong5
         + [
@@ -251,8 +256,7 @@ def thm51_systems() -> tuple[InequalitySystem, InequalitySystem, InequalitySyste
 # ---------------------------------------------------------------------------
 # exact feasibility
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     """Either a strict witness point or a contradiction certificate.
 
     The certificate is a vector of nonnegative multipliers, one per

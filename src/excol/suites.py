@@ -8,8 +8,8 @@ explicitly seeded generator so reports are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _matrix, markov, pn, regions
 from .braid import BraidWord, center_word, delta_word, is_trivial, normal_form, parse_word
@@ -39,8 +39,7 @@ from .markov import (
 )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     expected: str
     actual: str
@@ -57,11 +56,10 @@ def info(name: str, value) -> Check:
         return Check(name, "-", repr(value), True)
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: str
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, command: str, inputs: str, checks: list[Check] | None = None):
+        self.command, self.inputs = command, inputs
+        self.checks = [] if checks is None else checks
 
     @property
     def exit_status(self) -> int:
@@ -366,7 +364,7 @@ def regions_suite(seed: int = 0) -> list[Check]:
     sanity = regions.contains(extras, relaxed_point) and not regions.contains(left_sys, relaxed_point)
     checks.append(check("dropping the strong conditions enlarges the region", True, sanity))
 
-    bad_sys = regions.InequalitySystem.build(2, [([1, -1], 0), ([-1, 1], 0)])
+    bad_sys = regions.InequalitySystem(2, [([1, -1], 0), ([-1, 1], 0)])
     res = regions.is_feasible(bad_sys)
     checks.append(check("opposite pair infeasible with certificate", True,
                         (not res.feasible) and res.certificate is not None))

@@ -236,7 +236,7 @@ def test_criterion_8_region_feasibility():
         res = is_feasible(system)
         if not (res.feasible and contains(system, res.witness)):
             failures.append(f"thm 5.1 {name} system infeasible")
-    bad = InequalitySystem.build(2, [([1, -1], 0), ([-1, 1], 0)])
+    bad = InequalitySystem(2, [([1, -1], 0), ([-1, 1], 0)])
     res = is_feasible(bad)
     if res.feasible or res.certificate is None:
         failures.append("opposite pair not certified infeasible")

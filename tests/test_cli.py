@@ -429,3 +429,8 @@ class TestBraidNf:
     def test_strands_at_bound(self, capsys):
         status, out, _ = run(capsys, ["braid", "nf", "L0 R0", "--strands", "256"])
         assert status == 0 and out.endswith("trivial: True\n")
+
+    @pytest.mark.parametrize("word", ["", "L0", "L3 R0"])
+    def test_zero_strands_names_the_strand_count(self, capsys, word):
+        status, out, err = run(capsys, ["braid", "nf", word, "--strands", "0"])
+        assert (status, out, err) == (2, "", "error: strand count must be positive, got 0\n")

@@ -209,12 +209,12 @@ class TestThm51Systems:
 
 class TestFeasibility:
     def test_simple_feasible(self):
-        system = InequalitySystem.build(2, [([1, -1], 0)])
+        system = InequalitySystem(2, [([1, -1], 0)])
         res = is_feasible(system)
         assert res.feasible and contains(system, res.witness)
 
     def test_opposite_pair_infeasible(self):
-        system = InequalitySystem.build(2, [([1, -1], 0), ([-1, 1], 0)])
+        system = InequalitySystem(2, [([1, -1], 0), ([-1, 1], 0)])
         res = is_feasible(system)
         assert not res.feasible
         assert res.certificate is not None
@@ -228,18 +228,18 @@ class TestFeasibility:
         assert combo == [0, 0] and bound <= 0
 
     def test_zero_row_infeasible(self):
-        system = InequalitySystem.build(1, [([0], -1)])
+        system = InequalitySystem(1, [([0], -1)])
         res = is_feasible(system)
         assert not res.feasible
 
     def test_unconstrained_variable(self):
-        system = InequalitySystem.build(3, [([1, -1, 0], -2)])
+        system = InequalitySystem(3, [([1, -1, 0], -2)])
         res = is_feasible(system)
         assert res.feasible and contains(system, res.witness)
 
     def test_narrow_interval(self):
         # 0 < x < 1/1000 forces a genuinely interior rational witness
-        system = InequalitySystem.build(
+        system = InequalitySystem(
             1, [([-1], 0), ([1], Fraction(1, 1000))]
         )
         res = is_feasible(system)
@@ -254,7 +254,7 @@ class TestFeasibility:
             for _ in range(rng.randint(1, 6)):
                 coeffs = [rng.randint(-3, 3) for _ in range(dim)]
                 rows.append((coeffs, Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
-            system = InequalitySystem.build(dim, rows)
+            system = InequalitySystem(dim, rows)
             res = is_feasible(system)
             if res.feasible:
                 assert contains(system, res.witness)
@@ -306,23 +306,39 @@ class TestBuildInput:
     ])
     def test_rejects_floats_bools_and_other_types(self, rows):
         with pytest.raises(ValueError, match="^inequality entries must be ints or Fractions, got "):
-            InequalitySystem.build(2, rows)
+            InequalitySystem(2, rows)
 
     def test_names_the_first_bad_entry(self):
         with pytest.raises(ValueError) as exc:
-            InequalitySystem.build(2, [([1, -1], 0), ([0.25, True], 1.5)])
+            InequalitySystem(2, [([1, -1], 0), ([0.25, True], 1.5)])
         assert str(exc.value) == "inequality entries must be ints or Fractions, got 0.25"
 
     def test_one_fraction_per_distinct_value(self):
-        system = InequalitySystem.build(
+        system = InequalitySystem(
             3, [([1, -1, 0], 0), ([Fraction(1), 0, -1], Fraction(-1, 2)), ([0, 1, -1], -1)]
         )
         entries = [x for coeffs, bound in system.constraints for x in coeffs + (bound,)]
         assert all(type(x) is Fraction for x in entries)
         assert len({id(x) for x in entries}) == len(set(entries)) == 4
 
+    def test_constructor_is_exact(self):
+        system = InequalitySystem(2, (((1, -1), 1), ((0, 1), 3)))
+        assert system == InequalitySystem(2, [([1, -1], 1), ([0, 1], 3)])
+        result = is_feasible(system)
+        assert result.witness == (Fraction(3), Fraction(5, 2))
+        assert all(type(x) is Fraction for x in result.witness)
+
+    @pytest.mark.parametrize("rows, bad", [
+        ((((1, -1), 0.5),), "0.5"),
+        ((((True, -1), 0),), "True"),
+    ])
+    def test_constructor_rejects_floats_and_bools(self, rows, bad):
+        with pytest.raises(ValueError) as exc:
+            InequalitySystem(2, rows)
+        assert str(exc.value) == f"inequality entries must be ints or Fractions, got {bad}"
+
     def test_sparse_rows_hold_the_nonzero_entries(self):
-        system = InequalitySystem.build(3, [([1, 0, -1], 2), ([0, 0, 0], 1)])
+        system = InequalitySystem(3, [([1, 0, -1], 2), ([0, 0, 0], 1)])
         assert system.sparse_rows == (
             (((0, Fraction(1)), (2, Fraction(-1))), Fraction(2)),
             ((), Fraction(1)),
@@ -331,16 +347,16 @@ class TestBuildInput:
 
 class TestContains:
     def test_dimension_mismatch(self):
-        system = InequalitySystem.build(2, [([1, -1], 0)])
+        system = InequalitySystem(2, [([1, -1], 0)])
         with pytest.raises(ValueError):
             contains(system, (0,))
 
     def test_boundary_rejected(self):
-        system = InequalitySystem.build(2, [([1, -1], 0)])
+        system = InequalitySystem(2, [([1, -1], 0)])
         assert not contains(system, (Fraction(1), Fraction(1)))
 
     def test_phase_point(self):
-        system = InequalitySystem.build(2, [([1, -1], 0)])
+        system = InequalitySystem(2, [([1, -1], 0)])
         p = PhasePoint(m=(Fraction(1), Fraction(1)), phi=(Fraction(0), Fraction(1)))
         assert contains(system, p)
 
@@ -351,7 +367,7 @@ class TestContains:
             PhasePoint(m=(Fraction(1),), phi=(Fraction(0), Fraction(1)))
 
     def test_serialized_rows(self):
-        system = InequalitySystem.build(
+        system = InequalitySystem(
             2, [([1, -1], Fraction(-3, 2))]
         )
         assert system.rows_text() == ["[1,-1 | -3/2]"]
@@ -422,7 +438,7 @@ class TestSparseMultipliers:
                 ([rng.choice(values) for _ in range(dim)], rng.choice(values + [Fraction(1, 3)]))
                 for _ in range(rng.randint(1, 7))
             ]
-            system = InequalitySystem.build(dim, rows)
+            system = InequalitySystem(dim, rows)
             res = is_feasible(system)
             assert res == reference_is_feasible(system)
             outcomes.append(res.feasible)
@@ -437,7 +453,7 @@ class TestSparseMultipliers:
     def test_infeasible_strong_system_matches_dense_reference(self):
         # phi_8 < phi_0 - 7 contradicts the strong chain phi_0 < phi_8 - 7
         system = region_system(DegreeMatrix.all_zero(8))
-        bad = InequalitySystem.build(
+        bad = InequalitySystem(
             9, [(list(c), b) for c, b in system.constraints] + [([-1] + [0] * 7 + [1], -7)]
         )
         res = is_feasible(bad)
@@ -514,7 +530,7 @@ class TestSparseKernel:
                 # a bound of exactly <c, p> puts the point on the boundary
                 bound = at_point + rng.choice((0, 0, Fraction(1, 7), Fraction(-1, 7)))
                 rows.append((coeffs, bound))
-            system = InequalitySystem.build(dim, rows)
+            system = InequalitySystem(dim, rows)
             for p in (point, tuple(x + Fraction(1, 11) for x in point)):
                 assert contains(system, p) == dense_contains(system, p)
             on_boundary += any(
