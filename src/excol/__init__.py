@@ -37,7 +37,6 @@ from .markov import (
     eval_eq1,
     eval_eq2,
     f_image,
-    on_gamma,
     orbit,
     stabilizer_scan,
     t_map,
@@ -55,7 +54,6 @@ from .regions import (
     DegreeMatrix,
     FeasibilityResult,
     InequalitySystem,
-    PhasePoint,
     alpha,
     contains,
     is_feasible,
@@ -72,11 +70,10 @@ __all__ = [
     "right_mutation", "serre_matrix",
     "SEED_BEILINSON", "SEED_DUAL", "CapExceededError", "GWord", "SixTuple",
     "apply_g", "check_equivariance", "eval_eq1", "eval_eq2", "f_image",
-    "on_gamma", "orbit", "stabilizer_scan", "t_map", "tuple_gram",
-    "unipotency_oracle",
+    "orbit", "stabilizer_scan", "t_map", "tuple_gram", "unipotency_oracle",
     "beilinson_collection", "euler_chi_line", "line_bundle_cohomology",
     "serre_class_map", "twist_matrix",
-    "DegreeMatrix", "FeasibilityResult", "InequalitySystem", "PhasePoint",
+    "DegreeMatrix", "FeasibilityResult", "InequalitySystem",
     "alpha", "contains", "is_feasible", "lemma41_system", "region_system",
     "thm51_systems",
 ]

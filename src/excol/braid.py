@@ -236,15 +236,14 @@ class BraidWord(Value):
     def to_text(self) -> str:
         return " ".join(("L" if e == 1 else "R") + str(i) for i, e in self.letters)
 
-    def __str__(self) -> str:
-        return self.to_text() or "<empty>"
-
 
 def parse_word(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated tokens ``L<i>`` / ``R<i>`` / ``s<i>`` / ``s<i>^-1``.
 
     ``L<i>`` and ``s<i>`` mean sigma_i, ``R<i>`` and ``s<i>^-1`` mean its
-    inverse.  Letters are kept in textual order; the rightmost acts first.
+    inverse, with ``<i>`` in ASCII digits.  Letters are kept in textual
+    order; the rightmost acts first.  Generator indices are checked by
+    ``BraidWord`` once every token has parsed.
     """
     if strands < 1:
         raise ValueError(f"strand count must be positive, got {strands}")
@@ -260,28 +259,19 @@ def parse_word(text: str, strands: int) -> BraidWord:
                 body, exp = token[1:], 1
         else:
             raise WordSyntaxError(f"malformed token {token!r}")
-        if not body.isdigit():
+        if not (body.isascii() and body.isdigit()):
             raise WordSyntaxError(f"malformed token {token!r}")
-        i = int(body)
-        if not 0 <= i < strands - 1:
-            raise WordSyntaxError(
-                f"generator index {i} out of range for {strands} strands"
-            )
-        letters.append((i, exp))
+        letters.append((int(body), exp))
     return BraidWord(strands, tuple(letters))
 
 
-def delta_word(strands: int = 4) -> BraidWord:
-    """The half twist written as (s0 s1 s2)(s0 s1) s0; only 4 strands."""
-    if strands != 4:
-        raise ValueError("delta_word is defined for 4 strands only")
+def delta_word() -> BraidWord:
+    """The half twist on 4 strands, written as (s0 s1 s2)(s0 s1) s0."""
     return parse_word("L0 L1 L2 L0 L1 L0", 4)
 
 
-def center_word(strands: int = 4) -> BraidWord:
-    """Generator (s0 s1 s2)^4 of the center; only 4 strands."""
-    if strands != 4:
-        raise ValueError("center_word is defined for 4 strands only")
+def center_word() -> BraidWord:
+    """Generator (s0 s1 s2)^4 of the center of the 4-strand group."""
     return parse_word("L0 L1 L2", 4) ** 4
 
 

@@ -180,17 +180,15 @@ def from_json_text(text: str) -> NumericalCollection:
         raise ValueError(f"malformed collection file: {exc}") from exc
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    gram = _int_matrix(raw_gram, n + 1, "gram")
-    if not _matrix.is_upper_unitriangular(gram):
-        raise ValueError("gram matrix must be upper triangular with unit diagonal")
+    c = from_gram(_int_matrix(raw_gram, n + 1, "gram"))
     if raw_classes == "identity":
-        return NumericalCollection(gram, _matrix.identity(n + 1))
+        return c
     classes = _int_matrix(raw_classes, n + 1, "classes")
     try:
         _matrix.check_unimodular(_matrix.determinant(classes))
     except ValueError as exc:
         raise ValueError(f"classes {exc}") from exc
-    return NumericalCollection(gram, classes)
+    return NumericalCollection(c.gram, classes)
 
 
 def load(path) -> NumericalCollection:

@@ -103,11 +103,6 @@ def unipotency_oracle(t: SixTuple) -> bool:
     return _unipotent_gram(tuple_gram(t))
 
 
-def on_gamma(t: SixTuple) -> bool:
-    """Membership in the invariant variety: eq1 vanishes and the oracle passes."""
-    return eval_eq1(t) == 0 and unipotency_oracle(t)
-
-
 # ---------------------------------------------------------------------------
 # the group action on six-tuples
 
@@ -155,9 +150,6 @@ class GWord(Value):
             t = apply_g(t, let)
         return t
 
-    def __str__(self) -> str:
-        return " ".join(self.letters) or "<empty>"
-
 
 _R_IMAGES = {
     0: (W2, W2, V, W3),
@@ -195,14 +187,14 @@ def check_equivariance(c: NumericalCollection, w: BraidWord) -> bool:
 # ---------------------------------------------------------------------------
 # orbits and stabilizers
 
-MUTATION_LETTERS: tuple[Letter, ...] = ((0, 1), (1, 1), (2, 1), (0, -1), (1, -1), (2, -1))
+def _letters_for(n: int) -> tuple[Letter, ...]:
+    """The mutation alphabet L_0..L_{n-1}, R_0..R_{n-1} of n+1 objects."""
+    return tuple((i, 1) for i in range(n)) + tuple((i, -1) for i in range(n))
+
+
+MUTATION_LETTERS = _letters_for(3)
 
 OrbitSeed = Union[SixTuple, NumericalCollection]
-
-
-def _letters_for(c: NumericalCollection) -> tuple[Letter, ...]:
-    """The mutation alphabet L_0..L_{n-1}, R_0..R_{n-1} of a collection."""
-    return tuple((i, 1) for i in range(c.n)) + tuple((i, -1) for i in range(c.n))
 
 
 def orbit(seed: OrbitSeed, depth: int, cap: int = 100_000) -> dict:
@@ -219,10 +211,10 @@ def orbit(seed: OrbitSeed, depth: int, cap: int = 100_000) -> dict:
         def expand(t):
             return (apply_g(t, let) for let in G_LETTERS)
     elif isinstance(seed, NumericalCollection):
+        letters = _letters_for(seed.n)
+
         def expand(c):
-            return (
-                _mutate(c, i, e) for i, e in _letters_for(c)
-            )
+            return (_mutate(c, i, e) for i, e in letters)
     else:
         raise TypeError(f"cannot enumerate an orbit of {type(seed).__name__}")
 
@@ -290,7 +282,7 @@ def stabilizer_scan(
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
     # letter code k stands for alphabet[k]; the inverse of code k is k ^ 1,
     # and codes compare as the letters do
-    alphabet = sorted(_letters_for(c))
+    alphabet = sorted(_letters_for(c.n))
     if not alphabet:  # a single object admits no mutation: N = 0
         return []
     reach = _reachable_length(len(alphabet), max_len, max(cap, 0))

@@ -61,20 +61,14 @@ def beilinson_collection(n: int) -> NumericalCollection:
 def twist_matrix(n: int) -> IntMatrix:
     """Matrix of - (x) O(1) on K(P^n) in the basis [O], ..., [O(n)].
 
-    Columns 0..n-1 shift the basis; the class of O(n+1) is solved from
-    its Euler pairings against the basis, and the solution is checked by
-    re-substitution.
+    Columns 0..n-1 shift the basis.  The last column is the class of
+    O(n+1), read off the exact Koszul complex
+    0 -> O -> O(1)^C(n+1,1) -> ... -> O(n)^C(n+1,n) -> O(n+1) -> 0:
+    [O(n+1)] = sum_k (-1)^(n-k) C(n+1, k) [O(k)].
     """
-    gram = beilinson_collection(n).gram
-    pairings = tuple(euler_chi_line(n, n + 1 - i) for i in range(n + 1))
-    solved = _matrix.unitriangular_solve(gram, tuple((p,) for p in pairings))
-    last = tuple(row[0] for row in solved)
-    assert all(
-        sum(gram[i][k] * last[k] for k in range(n + 1)) == pairings[i]
-        for i in range(n + 1)
-    ), "pairing solve for the class of O(n+1) failed re-substitution"
+    last = [(-1) ** (n - k) * math.comb(n + 1, k) for k in range(n + 1)]
     cols = [[1 if r == c + 1 else 0 for r in range(n + 1)] for c in range(n)]
-    cols.append(list(last))
+    cols.append(last)
     return _matrix.transpose(_matrix.freeze(cols))
 
 

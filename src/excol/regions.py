@@ -25,7 +25,6 @@ at n=64 (2080 rows).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, compress
 from math import inf
 from typing import NamedTuple, Sequence, Union
@@ -73,34 +72,16 @@ class DegreeMatrix(Value):
         return self.entries[i][j]
 
 
-class PhasePoint(Value):
-    """Masses and phases of the objects; masses must be positive."""
-
-    _fields = __slots__ = ("m", "phi")
-
-    def __init__(self, m: tuple[Fraction, ...], phi: tuple[Fraction, ...]):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "phi", phi)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if len(self.m) != len(self.phi):
-            raise ValueError("mass and phase vectors must have equal length")
-        if any(x <= 0 for x in self.m):
-            raise ValueError("masses must be positive")
-
-
-SparseRow = tuple[tuple[tuple[int, Fraction], ...], Fraction]  # nonzero (var, coeff), bound
-
-
 class InequalitySystem(Value):
     """Finite conjunction of strict inequalities <coeffs, phi> < bound.
 
     Entries must be ints or Fractions, not floats or bools; each distinct
-    value is stored as one shared ``Fraction``."""
+    value is stored as one shared ``Fraction``.  ``sparse_rows`` holds
+    each constraint as its nonzero ``(var, coeff)`` entries and bound; it
+    is built once here and takes no part in equality, hash or ``repr``."""
 
     _fields = ("dimension", "constraints")
-    __slots__ = _fields + ("__dict__",)  # the dict holds sparse_rows
+    __slots__ = _fields + ("sparse_rows",)
 
     def __init__(self, dimension: int, constraints: Sequence[tuple[Sequence[Rational], Rational]]):
         rows = [(tuple(coeffs), bound) for coeffs, bound in constraints]
@@ -114,19 +95,14 @@ class InequalitySystem(Value):
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "constraints", frozen)
         self.__post_init__()
+        object.__setattr__(self, "sparse_rows", tuple(
+            (tuple(compress(enumerate(coeffs), coeffs)), bound) for coeffs, bound in frozen
+        ))
 
     def __post_init__(self):
         for coeffs, _ in self.constraints:
             if len(coeffs) != self.dimension:
                 raise ValueError("constraint arity does not match dimension")
-
-    @cached_property
-    def sparse_rows(self) -> tuple[SparseRow, ...]:
-        """The constraints with their nonzero ``(var, coeff)`` entries only."""
-        return tuple(
-            (tuple(compress(enumerate(coeffs), coeffs)), bound)
-            for coeffs, bound in self.constraints
-        )
 
     def rows_text(self) -> list[str]:
         """Constraint rows as ``[c_0,...,c_n | b]`` in exact p/q notation."""
@@ -270,12 +246,12 @@ class FeasibilityResult(NamedTuple):
 
 
 def contains(s: InequalitySystem, p) -> bool:
-    """Exact strict membership; accepts a PhasePoint or a bare vector.
+    """Exact strict membership of the vector of phases ``p``.
 
     Each constraint is summed over its nonzero coefficients only, read
     from ``InequalitySystem.sparse_rows``.
     """
-    values = p.phi if isinstance(p, PhasePoint) else tuple(Fraction(x) for x in p)
+    values = tuple(Fraction(x) for x in p)
     if len(values) != s.dimension:
         raise ValueError(
             f"point dimension {len(values)} does not match system dimension {s.dimension}"

@@ -102,10 +102,13 @@ def random_word(rng: random.Random, strands: int, max_len: int) -> BraidWord:
     return BraidWord(strands, letters)
 
 
-def random_unitriangular(rng: random.Random, size: int, lo: int = -9, hi: int = 9):
+ENTRY_LO, ENTRY_HI = -9, 9  # bounds of each random strictly upper Gram entry
+
+
+def random_unitriangular(rng: random.Random, size: int):
     return tuple(
         tuple(
-            1 if i == j else (rng.randint(lo, hi) if j > i else 0)
+            1 if i == j else (rng.randint(ENTRY_LO, ENTRY_HI) if j > i else 0)
             for j in range(size)
         )
         for i in range(size)

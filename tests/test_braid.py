@@ -60,7 +60,9 @@ class TestParsing:
             parse_word("L5", 4)
 
     def test_malformed_token(self):
-        for bad in ("X0", "L", "Lx", "s1^-2"):
+        # non-ASCII digits: Arabic-Indic zero and one, superscript two
+        for bad in ("X0", "L", "Lx", "s1^-2", "L\u0660", "R\u0661", "L\u00b2",
+                    "s\u0661^-1"):
             with pytest.raises(WordSyntaxError):
                 parse_word(bad, 4)
 
@@ -205,12 +207,6 @@ class TestSpecialWords:
 
     def test_delta_squared_is_center(self):
         assert is_trivial(delta_word() ** 2 * center_word().inverse())
-
-    def test_strand_count_guard(self):
-        with pytest.raises(ValueError):
-            delta_word(5)
-        with pytest.raises(ValueError):
-            center_word(3)
 
 
 # ---------------------------------------------------------------------------

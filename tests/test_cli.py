@@ -94,6 +94,14 @@ class TestMutate:
         assert status == 2
         assert "error" in err
 
+    def test_non_ascii_digit_exits_2_and_keeps_the_file(self, beilinson_file, capsys):
+        before = beilinson_file.read_text()
+        status, out, err = run(
+            capsys, ["mutate", str(beilinson_file), "--word", "s١^-1"]  # Arabic-Indic one
+        )
+        assert (status, out, err) == (2, "", "error: malformed token 's١^-1'\n")
+        assert beilinson_file.read_text() == before
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         status, _, err = run(capsys, ["mutate", str(tmp_path / "nope.json")])
         assert status == 2
@@ -429,6 +437,22 @@ class TestBraidNf:
     def test_strands_at_bound(self, capsys):
         status, out, _ = run(capsys, ["braid", "nf", "L0 R0", "--strands", "256"])
         assert status == 0 and out.endswith("trivial: True\n")
+
+    @pytest.mark.parametrize("word, token", [
+        ("L\u0660 L\u0661", "L\u0660"),  # Arabic-Indic zero and one
+        ("L\u00b2", "L\u00b2"),  # superscript two
+    ])
+    def test_non_ascii_digits_are_malformed(self, capsys, word, token):
+        status, out, err = run(capsys, ["braid", "nf", word])
+        assert (status, out, err) == (2, "", f"error: malformed token {token!r}\n")
+
+    def test_syntax_error_comes_before_index_error(self, capsys):
+        status, out, err = run(capsys, ["braid", "nf", "L9 X"])
+        assert (status, out, err) == (2, "", "error: malformed token 'X'\n")
+
+    def test_index_out_of_range(self, capsys):
+        status, out, err = run(capsys, ["braid", "nf", "L9"])
+        assert (status, out, err) == (2, "", "error: generator index 9 out of range for 4 strands\n")
 
     @pytest.mark.parametrize("word", ["", "L0", "L3 R0"])
     def test_zero_strands_names_the_strand_count(self, capsys, word):

@@ -25,7 +25,6 @@ from excol.markov import (
     f_image,
     orbit,
     stabilizer_scan,
-    on_gamma,
     t_map,
     tuple_gram,
     unipotency_oracle,
@@ -177,11 +176,6 @@ class TestEquations:
         assert unipotency_oracle(SEED_DUAL)
         assert unipotency_oracle(SEED_BEILINSON)
         assert not unipotency_oracle(SixTuple(1, 0, 0, 0, 0, 0))
-
-    def test_on_gamma(self):
-        assert on_gamma(SEED_DUAL) and on_gamma(SEED_BEILINSON)
-        assert not on_gamma(ZERO)  # eq1 = -8
-        assert not on_gamma(SixTuple(1, 0, 0, 0, 0, 0))
 
     def test_oracle_arbitrates_eq2(self):
         # on the seed the printed variant disagrees with the oracle,

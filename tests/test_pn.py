@@ -133,6 +133,14 @@ class TestTwist:
         for n in range(1, 6):
             assert _matrix.determinant(twist_matrix(n)) == 1
 
+    def test_last_column_solves_the_euler_pairings(self):
+        # reference: the class of O(n+1) solved from chi(O(i), O(n+1)) against the gram
+        for n in range(1, 17):
+            gram = beilinson_collection(n).gram
+            pairings = tuple((euler_chi_line(n, n + 1 - i),) for i in range(n + 1))
+            solved = _matrix.unitriangular_solve(gram, pairings)
+            assert tuple(row[n] for row in twist_matrix(n)) == tuple(row[0] for row in solved)
+
     def test_twist_preserves_euler_pairings(self):
         # chi(E, F) = chi(E(1), F(1)): T^t A T == A on the ambient basis
         for n in range(1, 5):

@@ -212,7 +212,7 @@ small = usually(st.integers(0, 3), st.just(-1))
 fmt = usually(st.sampled_from(("text", "json")), st.just("xml"))
 word_text = st.lists(usually(
     st.sampled_from(("L0", "L1", "L2", "R0", "R1", "R2", "s1", "s0^-1")),
-    st.sampled_from(("L7", "X")),
+    st.sampled_from(("L7", "X", "L\u0660", "L\u00b2", "s\u0661^-1")),  # non-ASCII digits
 ), max_size=6).map(" ".join)
 six = usually(
     st.lists(small, min_size=6, max_size=6).map(lambda xs: ",".join(map(str, xs))),

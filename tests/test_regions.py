@@ -11,7 +11,6 @@ from excol.regions import (
     DegreeMatrix,
     FeasibilityResult,
     InequalitySystem,
-    PhasePoint,
     _certificate_valid,
     _pair_row,
     _region_rows,
@@ -354,17 +353,6 @@ class TestContains:
     def test_boundary_rejected(self):
         system = InequalitySystem(2, [([1, -1], 0)])
         assert not contains(system, (Fraction(1), Fraction(1)))
-
-    def test_phase_point(self):
-        system = InequalitySystem(2, [([1, -1], 0)])
-        p = PhasePoint(m=(Fraction(1), Fraction(1)), phi=(Fraction(0), Fraction(1)))
-        assert contains(system, p)
-
-    def test_phase_point_validation(self):
-        with pytest.raises(ValueError):
-            PhasePoint(m=(Fraction(0), Fraction(1)), phi=(Fraction(0), Fraction(1)))
-        with pytest.raises(ValueError):
-            PhasePoint(m=(Fraction(1),), phi=(Fraction(0), Fraction(1)))
 
     def test_serialized_rows(self):
         system = InequalitySystem(

@@ -3,14 +3,13 @@
 import copy
 import itertools
 import pickle
-from fractions import Fraction
 
 import pytest
 
 from excol.braid import BraidWord, GarsideForm, normal_form, parse_word
 from excol.collection import from_gram
 from excol.markov import GWord
-from excol.regions import DegreeMatrix, InequalitySystem, PhasePoint, is_feasible
+from excol.regions import DegreeMatrix, InequalitySystem, is_feasible
 from excol.suites import Check
 
 # (make, make a different value, repr pinned from the frozen-dataclass versions)
@@ -39,11 +38,6 @@ CASES = {
         lambda: DegreeMatrix.from_rows([[0, 1], [0, 0]]),
         lambda: DegreeMatrix.from_rows([[0, 2], [0, 0]]),
         "DegreeMatrix(n=1, entries=((0, 1), (0, 0)))",
-    ),
-    "PhasePoint": (
-        lambda: PhasePoint((Fraction(1),), (Fraction(1, 2),)),
-        lambda: PhasePoint((Fraction(1),), (Fraction(1, 3),)),
-        "PhasePoint(m=(Fraction(1, 1),), phi=(Fraction(1, 2),))",
     ),
     "InequalitySystem": (
         lambda: InequalitySystem(2, [([1, -1], 0)]),
@@ -110,7 +104,8 @@ def test_no_two_types_compare_equal():
 
 
 def test_slots_types_keep_no_instance_dict():
-    for value in (BraidWord(4), GWord(), DegreeMatrix(0, ((0,),))):
+    for value in (BraidWord(4), GWord(), DegreeMatrix(0, ((0,),)),
+                  InequalitySystem(2, [([1, -1], 0)])):
         assert not hasattr(value, "__dict__")
 
 
@@ -136,7 +131,5 @@ def test_validation_still_runs_at_construction():
         BraidWord(0)
     with pytest.raises(ValueError, match="^unknown group letter 'x'$"):
         GWord(("x",))
-    with pytest.raises(ValueError, match="^masses must be positive$"):
-        PhasePoint((Fraction(0),), (Fraction(0),))
     with pytest.raises(ValueError, match="^factors are not left weighted$"):
         GarsideForm(4, 0, ((1, 0, 2, 3), (0, 1, 3, 2)))
