@@ -7,16 +7,20 @@ sequence of letters (generator index, exponent +-1) kept in textual
 order; whenever a word acts on something the rightmost letter acts
 first.
 
-The word problem is decided through the classical Garside structure:
-every braid is uniquely  D^k . p_1 . ... . p_m  where D is the positive
-half twist, every factor p_i is a permutation braid other than the
-identity and D, and each adjacent pair is left weighted.  The form is
-built one factor at a time: each appended factor costs one right-to-left
-pass of pair left-weightings that stops at the first pair it leaves
-unchanged (Epstein et al., Word Processing in Groups, ch. 9), so the
-pass is usually short.  Permutation braids are stored as their
-underlying permutations in one-line notation; permutations compose left
-to right (p then q), matching word order.
+The word problem is decided through the classical Garside structure
+(Epstein et al., Word Processing in Groups, ch. 9): every braid is
+uniquely  D^k . p_1 . ... . p_m  where D is the positive half twist,
+every factor p_i is a permutation braid other than the identity and D,
+and each adjacent pair is left weighted.  Since D q = tau(q) D, the half
+twists stay outside the factor list: the braid read so far is
+D^s . fs . D^t  with fs left weighted.  sigma_i appends tau^t(sigma_i);
+sigma_i^-1 = D^-1 (D sigma_i^-1) lowers t by one, then appends
+tau^t(D sigma_i^-1).  Each append makes one right-to-left pass of pair
+left-weightings that stops at the first pair it leaves unchanged.  A
+factor that the pass turns into D moves to the nearer end, D^s or D^t,
+conjugating by tau the factors it passes.  The form is
+D^(s+t) . tau^t(fs).  Permutation braids are stored as permutations in
+one-line notation, composed left to right (p then q) as in word order.
 """
 
 from __future__ import annotations
@@ -124,64 +128,6 @@ def _left_weighted_pair(x: Perm, y: Perm) -> tuple[Perm, Perm]:
     return tuple(nx), tuple(ys)
 
 
-def _normalize_factors(strands: int, factors: list[Perm]) -> tuple[int, tuple[Perm, ...]]:
-    """Left-weight a factor list; return (absorbed D power, clean factors).
-
-    Factors are appended one at a time to a left-weighted list.  Each
-    append makes one right-to-left pass of pair left-weightings and stops
-    at the first pair that does not change, since everything left of it
-    is already left weighted.  A trailing identity is dropped as it
-    appears.  A half twist that appears in the pass would travel to the
-    front, conjugating every factor it passes by tau; it is absorbed into
-    the D power at once instead, and the conjugation is recorded lazily:
-    stored factor i is twisted by tau once for each set flip[j], j >= i.
-    """
-    w0 = _w0(strands)
-    e = _identity_perm(strands)
-    shift = 0
-    fs: list[Perm] = []
-    flip: list[int] = []
-    for f in factors:
-        if f == e:
-            continue
-        if f == w0:
-            shift += 1
-            if flip:
-                flip[-1] ^= 1
-            continue
-        fs.append(f)
-        flip.append(0)
-        k = len(fs) - 2
-        y, ty = f, 0  # the value at k+1 and its twist parity
-        while k >= 0:
-            tx = ty ^ flip[k]
-            x = _tau(fs[k]) if tx else fs[k]
-            nx, ny = _left_weighted_pair(x, y)
-            if nx == x:
-                break
-            fs[k + 1] = _tau(ny) if ty else ny
-            if nx == w0:
-                del fs[k]
-                if k:
-                    flip[k - 1] ^= flip[k] ^ 1
-                del flip[k]
-                shift += 1
-                break
-            fs[k] = _tau(nx) if tx else nx
-            y, ty = nx, tx
-            k -= 1
-        if fs and fs[-1] == e:  # only the factor appended now, flip 0
-            fs.pop()
-            flip.pop()
-    out = []
-    parity = 0
-    for k in range(len(fs) - 1, -1, -1):
-        parity ^= flip[k]
-        out.append(_tau(fs[k]) if parity else fs[k])
-    out.reverse()
-    return shift, tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # words
 
@@ -242,12 +188,13 @@ def parse_word(text: str, strands: int) -> BraidWord:
 
     ``L<i>`` and ``s<i>`` mean sigma_i, ``R<i>`` and ``s<i>^-1`` mean its
     inverse, with ``<i>`` in ASCII digits.  Letters are kept in textual
-    order; the rightmost acts first.  Generator indices are checked by
-    ``BraidWord`` once every token has parsed.
+    order; the rightmost acts first.  Generator indices are checked once
+    every token has parsed, so a malformed token is reported first.
     """
     if strands < 1:
         raise ValueError(f"strand count must be positive, got {strands}")
     letters: list[Letter] = []
+    out_of_range = None
     for token in text.split():
         kind = token[0]
         if kind in _TOKEN_ALIASES:
@@ -261,7 +208,14 @@ def parse_word(text: str, strands: int) -> BraidWord:
             raise WordSyntaxError(f"malformed token {token!r}")
         if not (body.isascii() and body.isdigit()):
             raise WordSyntaxError(f"malformed token {token!r}")
-        letters.append((int(body), exp))
+        digits = body.lstrip("0") or "0"
+        # an index longer than the strand count is out of range; int() never sees it
+        if len(digits) > len(str(strands)) or int(digits) > strands - 2:
+            out_of_range = out_of_range or digits
+        else:
+            letters.append((int(digits), exp))
+    if out_of_range:
+        raise WordSyntaxError(f"generator index {out_of_range} out of range for {strands} strands")
     return BraidWord(strands, tuple(letters))
 
 
@@ -344,28 +298,44 @@ def _one_line(p: Perm) -> str:
 def normal_form(w: BraidWord) -> GarsideForm:
     """The unique left Garside normal form of the word."""
     n = w.strands
-    if n == 1:
-        return GarsideForm(1, 0, ())
-    factors: list[Perm] = []
-    dpows: list[int] = []
     w0 = _w0(n)
-    for i, e in w.letters:
-        g = _gen(n, i)
-        if e == 1:
-            factors.append(g)
-            dpows.append(0)
-        else:
+    e = _identity_perm(n)
+    s = t = 0
+    fs: list[Perm] = []  # the braid read so far is D^s . fs . D^t
+    for i, sign in w.letters:
+        q = _gen(n, i)
+        if sign < 0:
             # sigma_i^-1 = D^-1 (D sigma_i^-1), the parenthesis is positive
-            factors.append(_mul(w0, g))
-            dpows.append(-1)
-    # slide the D powers to the front through tau conjugation
-    d = 0
-    for k in range(len(factors) - 1, -1, -1):
-        if d % 2:
-            factors[k] = _tau(factors[k])
-        d += dpows[k]
-    shift, fs = _normalize_factors(n, factors)
-    return GarsideForm(n, d + shift, fs)
+            t -= 1
+            q = _mul(w0, q)
+        if t & 1:
+            q = _tau(q)  # D^t q = tau^t(q) D^t
+        if q == w0:  # only on 2 strands, where the identity is popped below
+            t += 1
+            continue
+        fs.append(q)
+        k = len(fs) - 2
+        while k >= 0:
+            nx, ny = _left_weighted_pair(fs[k], q)
+            if nx == fs[k]:
+                break
+            fs[k + 1] = ny
+            if nx == w0:
+                del fs[k]
+                if 2 * k < len(fs):  # D leaves by the nearer end
+                    s += 1
+                    fs[:k] = [_tau(f) for f in fs[:k]]
+                else:
+                    t += 1
+                    fs[k:] = [_tau(f) for f in fs[k:]]
+                break
+            fs[k] = q = nx
+            k -= 1
+        if fs[-1] == e:
+            fs.pop()
+    if t & 1:
+        fs = [_tau(f) for f in fs]
+    return GarsideForm(n, s + t, tuple(fs))
 
 
 def is_trivial(w: BraidWord) -> bool:

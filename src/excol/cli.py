@@ -32,7 +32,8 @@ def _check_at_most(flag: str, value: int, bound: int) -> None:
 
 def _parse_tuple(text: str) -> SixTuple:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 6:
+    digits = [p[1:] if p[:1] in ("+", "-") else p for p in parts]
+    if len(parts) != 6 or not all(d.isascii() and d.isdigit() for d in digits):
         raise ValueError(f"expected six comma-separated integers, got {text!r}")
     return SixTuple(*(int(p) for p in parts))
 

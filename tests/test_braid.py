@@ -66,6 +66,23 @@ class TestParsing:
             with pytest.raises(WordSyntaxError):
                 parse_word(bad, 4)
 
+    def test_index_past_digit_limit_is_out_of_range(self):
+        ones = "1" * 5000
+        with pytest.raises(WordSyntaxError, match=f"^generator index {ones} out of range for 4 strands$"):
+            parse_word("L" + ones, 4)
+
+    def test_leading_zeros_are_dropped(self):
+        assert parse_word("L" + "0" * 5000 + "1", 4) == parse_word("L1", 4)
+        with pytest.raises(WordSyntaxError, match="^generator index 9 out of range"):
+            parse_word("R0009", 4)
+
+    def test_errors_keep_word_order(self):
+        long_index = "L" + "1" * 5000
+        with pytest.raises(WordSyntaxError, match="^malformed token 'X'$"):
+            parse_word(long_index + " X", 4)
+        with pytest.raises(WordSyntaxError, match="^generator index 9 out"):
+            parse_word("L9 " + long_index, 4)
+
     def test_round_trip_text(self):
         w = parse_word("L0 R2 L1", 4)
         assert parse_word(w.to_text(), 4) == w
@@ -246,10 +263,39 @@ def reference_normalize_factors(strands, factors):
     return shift, tuple(fs)
 
 
-def reference_normal_form(w, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(braid, "_normalize_factors", reference_normalize_factors)
-        return normal_form(w)
+def reference_normal_form(w):
+    """Slide every D^-1 to the front, then bubble the factor list.
+
+    sigma_i^-1 = D^-1 (D sigma_i^-1), and a factor passed by D is
+    conjugated by tau.
+    """
+    n = w.strands
+    w0 = braid._w0(n)
+    factors = []
+    d = 0
+    for i, e in reversed(w.letters):  # the D^-1 of a letter passes the factors left of it
+        g = braid._gen(n, i) if e == 1 else braid._mul(w0, braid._gen(n, i))
+        factors.append(braid._tau(g) if d % 2 else g)
+        if e == -1:
+            d -= 1
+    shift, fs = reference_normalize_factors(n, factors[::-1])
+    return GarsideForm(n, d + shift, fs)
+
+
+def positive_word(strands, factors):
+    """A positive word spelling the factors, each by a bubble sort."""
+    letters = []
+    for p in factors:
+        p = list(p)
+        done = False
+        while not done:
+            done = True
+            for i in range(strands - 1):
+                if p[i] > p[i + 1]:
+                    p[i], p[i + 1] = p[i + 1], p[i]
+                    letters.append((i, 1))
+                    done = False
+    return BraidWord(strands, tuple(letters))
 
 
 def delta_power(strands, k):
@@ -287,10 +333,11 @@ class TestOnePassReference:
                 p = list(range(n))
                 rng.shuffle(p)
                 factors.append(rng.choice(special) if rng.random() < 0.2 else tuple(p))
-            assert braid._normalize_factors(n, factors) == reference_normalize_factors(n, factors)
+            expected = GarsideForm(n, *reference_normalize_factors(n, factors))
+            assert normal_form(positive_word(n, factors)) == expected
 
     @pytest.mark.parametrize("kind", ["mixed", "positive", "negative", "delta-spliced"])
-    def test_random_words_match_full_passes(self, kind, monkeypatch):
+    def test_random_words_match_full_passes(self, kind):
         rng = random.Random(21)
         for strands in range(1, 11):
             for _ in range(40):
@@ -302,9 +349,16 @@ class TestOnePassReference:
                         w = BraidWord(strands, w.letters[:pos] + d.letters + w.letters[pos:])
                 else:
                     w = sample_word(rng, strands, rng.randint(0, 30), kind)
-                assert normal_form(w) == reference_normal_form(w, monkeypatch)
+                assert normal_form(w) == reference_normal_form(w)
 
-    @pytest.mark.parametrize("strands, length", [(4, 2000), (10, 300)])
-    def test_long_words_match_full_passes(self, strands, length, monkeypatch):
-        w = sample_word(random.Random(22), strands, length, "mixed")
-        assert normal_form(w) == reference_normal_form(w, monkeypatch)
+    @pytest.mark.parametrize("strands, word", [
+        (4, 2000), (10, 300),  # random words of that length
+        # 60 periods each; the pass moves D to the front and to the back
+        (10, "R2 R1 R0"), (4, "R0 L1 L2 R1"),
+    ])
+    def test_long_words_match_full_passes(self, strands, word):
+        if isinstance(word, int):
+            w = sample_word(random.Random(22), strands, word, "mixed")
+        else:
+            w = parse_word(word, strands) ** 60
+        assert normal_form(w) == reference_normal_form(w)

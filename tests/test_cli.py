@@ -246,6 +246,22 @@ class TestOrbit:
         status, _, _ = run(capsys, ["orbit", "--tuple", "1,2", "--depth", "1"])
         assert status == 2
 
+    @pytest.mark.parametrize("text", [
+        "\u0664,6,4,4,6,4",  # Arabic-Indic four
+        "4_0,6,4,4,6,4",
+        "1.5,6,4,4,6,4",
+        "4,6,4,4,6,",
+        "+-4,6,4,4,6,4",
+    ])
+    def test_tuple_entries_are_ascii_integers(self, capsys, text):
+        status, out, err = run(capsys, ["orbit", "--tuple", text, "--depth", "0"])
+        assert (status, out) == (2, "")
+        assert err == f"error: expected six comma-separated integers, got {text!r}\n"
+
+    def test_tuple_entries_take_a_sign(self, capsys):
+        status, out, _ = run(capsys, ["orbit", "--tuple", "+4,-6, 4,4,6,4", "--depth", "0"])
+        assert status == 0 and out.startswith("0\t(4,-6,4,4,6,4)")
+
     def test_eq2_variant_flag(self, capsys):
         status, out, _ = run(
             capsys,
@@ -453,6 +469,25 @@ class TestBraidNf:
     def test_index_out_of_range(self, capsys):
         status, out, err = run(capsys, ["braid", "nf", "L9"])
         assert (status, out, err) == (2, "", "error: generator index 9 out of range for 4 strands\n")
+
+    def test_index_past_digit_limit(self, capsys):
+        ones = "1" * 5000
+        status, out, err = run(capsys, ["braid", "nf", "L" + ones])
+        assert (status, out) == (2, "")
+        assert err == f"error: generator index {ones} out of range for 4 strands\n"
+        status, out, _ = run(capsys, ["braid", "nf", "L" + "0" * 5000 + "1"])
+        assert (status, out) == (0, "D^0 . (1 3 2 4)\ntrivial: False\n")
+
+    @pytest.mark.parametrize("word, strands, form", [
+        # B2 is infinite cyclic: the form is D^(exponent sum)
+        ("L0 L0 L0", "2", "D^3"),
+        ("R0 L0 R0", "2", "D^-1"),
+        ("L0 R0", "2", "D^0"),
+        ("", "1", "D^0"),
+    ])
+    def test_two_strands_and_one(self, capsys, word, strands, form):
+        status, out, _ = run(capsys, ["braid", "nf", word, "--strands", strands])
+        assert (status, out) == (0, f"{form}\ntrivial: {form == 'D^0'}\n")
 
     @pytest.mark.parametrize("word", ["", "L0", "L3 R0"])
     def test_zero_strands_names_the_strand_count(self, capsys, word):

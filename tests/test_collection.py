@@ -119,7 +119,7 @@ class TestMutationFormulas:
 
     def test_index_out_of_range(self):
         c = beilinson_collection(3)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"^mutation index 3 out of range for n=3$"):
             left_mutation(c, 3)
         with pytest.raises(IndexError):
             right_mutation(c, -1)
@@ -282,6 +282,10 @@ class TestStrongCandidate:
         dual = apply_word(beilinson_collection(3), delta_word())
         assert is_strong_candidate(dual)
 
+    def test_smallest_upper_entry_one(self):
+        assert is_strong_candidate(from_gram(((1, 1, 3), (0, 1, 2), (0, 0, 1))))
+        assert not is_strong_candidate(from_gram(((1, 1, 3), (0, 1, 0), (0, 0, 1))))
+
 
 class TestFileFormat:
     def test_documented_shape(self):
@@ -306,6 +310,14 @@ class TestFileFormat:
         path = tmp_path / "dual.json"
         save(c, path)
         assert load(path) == c
+
+    def test_save_load_single_object(self, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text('{"n":0,"gram":[[1]],"classes":"identity"}\n')
+        c = load(path)
+        assert (c.n, c.gram, c.classes) == (0, ((1,),), ((1,),))
+        save(c, tmp_path / "copy.json")
+        assert (tmp_path / "copy.json").read_text() == path.read_text()
 
     def test_round_trip_past_digit_limit(self):
         rng = random.Random(0)

@@ -13,7 +13,7 @@ import io  # noqa: E402
 import json  # noqa: E402
 
 from excol import _matrix  # noqa: E402
-from excol.braid import BraidWord, is_trivial, normal_form  # noqa: E402
+from excol.braid import BraidWord, GarsideForm, is_trivial, normal_form  # noqa: E402
 from excol.cli import MAX_PN_N, MAX_REGION_N, MAX_STRANDS, main  # noqa: E402
 from excol.collection import (  # noqa: E402
     NumericalCollection,
@@ -28,11 +28,17 @@ from excol.pn import beilinson_collection  # noqa: E402
 
 
 @st.composite
-def words(draw, max_len=24):
-    strands = draw(st.integers(2, 6))
+def words(draw, max_len=24, min_strands=2, max_strands=6):
+    strands = draw(st.integers(min_strands, max_strands))
     letters = draw(st.lists(
-        st.tuples(st.integers(0, strands - 2), st.sampled_from((1, -1))), max_size=max_len))
+        st.tuples(st.integers(0, max(strands - 2, 0)), st.sampled_from((1, -1))),
+        max_size=max_len if strands > 1 else 0))
     return BraidWord(strands, tuple(letters))
+
+
+def half_twist(strands):
+    """D = (s0 ... s_{n-2})(s0 ... s_{n-3}) ... (s0), the empty word on one strand."""
+    return BraidWord(strands, tuple((i, 1) for m in range(strands - 1, 0, -1) for i in range(m)))
 
 
 def relators(strands):
@@ -74,9 +80,18 @@ def test_normal_form_word_round_trips(w):
 
 
 @settings(max_examples=150, deadline=None)
-@given(words())
+@given(words(min_strands=1, max_strands=8))
 def test_word_times_inverse_is_trivial(w):
     assert is_trivial(w * w.inverse())
+
+
+@settings(max_examples=150, deadline=None)
+@given(words(min_strands=1, max_strands=8), st.integers(-3, 3))
+def test_half_twist_power_adds_to_infimum(w, k):
+    nf = normal_form(w)
+    shift = k if w.strands > 1 else 0  # D is the identity on one strand
+    spliced = half_twist(w.strands) ** k * w
+    assert normal_form(spliced) == GarsideForm(w.strands, shift + nf.infimum, nf.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +227,8 @@ small = usually(st.integers(0, 3), st.just(-1))
 fmt = usually(st.sampled_from(("text", "json")), st.just("xml"))
 word_text = st.lists(usually(
     st.sampled_from(("L0", "L1", "L2", "R0", "R1", "R2", "s1", "s0^-1")),
-    st.sampled_from(("L7", "X", "L\u0660", "L\u00b2", "s\u0661^-1")),  # non-ASCII digits
+    st.sampled_from(("L7", "X", "L\u0660", "L\u00b2", "s\u0661^-1",  # non-ASCII digits
+                     "L" + "1" * 5000, "L" + "0" * 5000 + "1")),  # past CPython's digit limit
 ), max_size=6).map(" ".join)
 six = usually(
     st.lists(small, min_size=6, max_size=6).map(lambda xs: ",".join(map(str, xs))),

@@ -109,9 +109,15 @@ def test_slots_types_keep_no_instance_dict():
         assert not hasattr(value, "__dict__")
 
 
-def test_sparse_rows_are_cached_on_the_system():
-    system = InequalitySystem(2, [([1, -1], 0)])
+def test_sparse_rows_slot_holds_the_nonzero_entries():
+    system = InequalitySystem(3, [([1, 0, -2], 0), ([0, 0, 0], 1), ([0, 5, 0], -3)])
+    assert "sparse_rows" in InequalitySystem.__slots__
     assert system.sparse_rows is system.sparse_rows
+    assert system.sparse_rows == (
+        (((0, 1), (2, -2)), 0),
+        ((), 1),
+        (((1, 5),), -3),
+    )
 
 
 def test_braid_word_post_init_runs_once_per_construction(monkeypatch):
