@@ -25,6 +25,7 @@ from .collection import (
     left_mutation,
     right_mutation,
     serre_matrix,
+    unipotent_grams,
 )
 from .markov import (
     SEED_BEILINSON,
@@ -42,6 +43,7 @@ from .markov import (
     t_map,
     tuple_gram,
     unipotency_oracle,
+    unipotency_oracles,
 )
 from .pn import (
     beilinson_collection,
@@ -67,10 +69,11 @@ __all__ = [
     "is_trivial", "normal_form", "parse_word",
     "NumericalCollection", "apply_word", "from_gram",
     "is_minus_kappa_unipotent", "is_strong_candidate", "left_mutation",
-    "right_mutation", "serre_matrix",
+    "right_mutation", "serre_matrix", "unipotent_grams",
     "SEED_BEILINSON", "SEED_DUAL", "CapExceededError", "GWord", "SixTuple",
     "apply_g", "check_equivariance", "eval_eq1", "eval_eq2", "f_image",
     "orbit", "stabilizer_scan", "t_map", "tuple_gram", "unipotency_oracle",
+    "unipotency_oracles",
     "beilinson_collection", "euler_chi_line", "line_bundle_cohomology",
     "serre_class_map", "twist_matrix",
     "DegreeMatrix", "FeasibilityResult", "InequalitySystem",

@@ -5,7 +5,7 @@ integer: the one elimination (determinant and unimodular inverse) is
 fraction free, and no floating point is used anywhere.  Upper
 unitriangular systems need no elimination: one back substitution,
 ``unitriangular_solve``, serves the Serre matrix G^-1 G^T of a Gram
-matrix G, kappa + 1 = G^-1 (G + G^T) and the twist on K(P^n).
+matrix G and the twist on K(P^n).
 """
 
 from __future__ import annotations

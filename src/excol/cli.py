@@ -46,10 +46,9 @@ def _report_out(report: suites.RunReport, fmt: str) -> int:
     return report.exit_status
 
 
-def _tuple_record(depth: int, t: SixTuple, variant: str, fmt: str) -> str:
+def _tuple_record(depth: int, t: SixTuple, oracle: bool, variant: str, fmt: str) -> str:
     eq1 = markov.eval_eq1(t)
     eq2 = markov.eval_eq2(t, variant)
-    oracle = markov.unipotency_oracle(t)
     if fmt == "json":
         return json.dumps(
             {"depth": depth, "tuple": list(t), "eq1": eq1, "eq2": eq2,
@@ -112,8 +111,12 @@ def cmd_orbit(args) -> int:
         except CapExceededError as exc:
             members = exc.partial
             exceeded = True
+        # the oracle runs once per distinct tuple: mutated collections can share one
+        distinct = dict.fromkeys(map(to_tuple, members))
+        oracle = dict(zip(distinct, markov.unipotency_oracles(distinct)))
         for elem, depth in members.items():
-            print(_tuple_record(depth, to_tuple(elem), args.eq2_variant, args.format))
+            t = to_tuple(elem)
+            print(_tuple_record(depth, t, oracle[t], args.eq2_variant, args.format))
     if exceeded:
         print(f"cap of {args.cap} exceeded; output is partial", file=sys.stderr)
         return 1

@@ -16,7 +16,9 @@ All arithmetic is arbitrary-precision integer.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from itertools import chain, islice
+from operator import add, mul, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _matrix
 from ._matrix import IntMatrix
@@ -113,20 +115,79 @@ def serre_matrix(c: NumericalCollection) -> IntMatrix:
     return _matrix.unitriangular_solve(c.gram, _matrix.transpose(c.gram))
 
 
-def _unipotent_gram(gram: IntMatrix) -> bool:
-    """True iff (kappa + 1)^(n+1) vanishes for kappa = gram^-1 . gram^T.
+_BLOCK = 256  # grams per pass: the kernel holds one block's entry lists at a time
 
-    kappa + 1 = gram^-1 (gram + gram^T), so one back substitution gives
-    it without forming kappa; the power is then taken literally.
+
+def _block_mul(a: list, b: list) -> list:
+    """Product of block matrices whose entries are lists over one block of grams."""
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        out_row = []
+        for col in cols:
+            terms = zip(row, col)
+            x, y = next(terms)
+            acc = map(mul, x, y)
+            for x, y in terms:
+                acc = map(add, acc, map(mul, x, y))
+            out_row.append(list(acc))
+        out.append(out_row)
+    return out
+
+
+def _unipotent_block(block: Sequence[IntMatrix], n1: int) -> list[bool]:
+    """The kernel of ``unipotent_grams`` on one block of n1 x n1 grams."""
+    # g[i][j] holds entry (i, j) of every gram in the block
+    g = [list(zip(*rows)) for rows in zip(*block)]
+    # back substitution, bottom up: row i of x = G^-1 (G + G^T) is row i
+    # of G + G^T minus g[i][k] times row k of x for every k > i
+    x: list = [None] * n1
+    for i in range(n1 - 1, -1, -1):
+        gi = g[i]
+        row = []
+        for col in range(n1):
+            acc = map(add, gi[col], g[col][i])
+            for k in range(i + 1, n1):
+                acc = map(sub, acc, map(mul, gi[k], x[k][col]))
+            row.append(list(acc))
+        x[i] = row
+    acc, base, k = None, x, n1  # the (n+1)-th power by squaring
+    while k:
+        if k & 1:
+            acc = base if acc is None else _block_mul(acc, base)
+        k >>= 1
+        if k:
+            base = _block_mul(base, base)
+    return [not any(entries) for entries in zip(*(e for row in acc for e in row))]
+
+
+def unipotent_grams(grams: Iterable[IntMatrix]) -> list[bool]:
+    """For each upper unitriangular gram, whether (kappa + 1)^(n+1) vanishes.
+
+    kappa + 1 = G^-1 (G + G^T) comes from one back substitution without
+    forming kappa; it is raised to the (n+1)-th power by squaring and
+    tested for zero, in exact integers.  Grams are drawn ``_BLOCK`` at a
+    time and each matrix entry is held as a list over the block, so one
+    ``map`` over two entry lists serves the whole block.  Results come
+    back in input order.  Raises ValueError unless all grams are k x k
+    for one k.
     """
-    n1 = len(gram)
-    base = _matrix.unitriangular_solve(gram, _matrix.mat_add(gram, _matrix.transpose(gram)))
-    return _matrix.is_zero(_matrix.mat_pow(base, n1))
+    grams = iter(grams)
+    out: list[bool] = []
+    sizes: set[int] = set()  # row counts and row lengths seen so far
+    while block := list(islice(grams, _BLOCK)):
+        sizes.update(map(len, block), map(len, chain.from_iterable(block)))
+        if len(sizes) > 1:
+            raise ValueError("gram matrices must all be k x k")
+        n1 = len(block[0])
+        # (kappa + 1)^0 of a 0 x 0 gram is the empty matrix, which is zero
+        out += _unipotent_block(block, n1) if n1 else [True] * len(block)
+    return out
 
 
 def is_minus_kappa_unipotent(c: NumericalCollection) -> bool:
     """True iff (kappa + 1)^(n+1) vanishes, with kappa + 1 = G^-1 (G + G^T)."""
-    return _unipotent_gram(c.gram)
+    return unipotent_grams([c.gram])[0]
 
 
 def is_strong_candidate(c: NumericalCollection) -> bool:

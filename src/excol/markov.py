@@ -11,12 +11,12 @@ evidence for the freeness of the mutation action.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from . import _matrix
 from ._value import Value
 from .braid import BraidWord, Letter, delta_word
-from .collection import NumericalCollection, _mutate, _rank2, _unipotent_gram, apply_word
+from .collection import NumericalCollection, _mutate, _rank2, apply_word, unipotent_grams
 
 
 class CapExceededError(RuntimeError):
@@ -97,10 +97,17 @@ def eval_eq2(t: SixTuple, variant: str = "corrected") -> int:
 def unipotency_oracle(t: SixTuple) -> bool:
     """Ground truth: rebuild the Gram matrix G and test (kappa+1)^4 = 0.
 
-    kappa + 1 = G^-1 (G + G^T) comes from one back substitution and is
-    raised to the fourth power on every call; no collection is built.
+    A one-tuple call of ``collection.unipotent_grams``: kappa + 1 =
+    G^-1 (G + G^T) comes from one back substitution and its fourth power
+    is tested for zero; no collection is built.  Many tuples are cheaper
+    through ``unipotency_oracles``.
     """
-    return _unipotent_gram(tuple_gram(t))
+    return unipotent_grams([tuple_gram(t)])[0]
+
+
+def unipotency_oracles(ts: Iterable[SixTuple]) -> list[bool]:
+    """``unipotency_oracle`` of each tuple, in order, by one batched kernel call."""
+    return unipotent_grams(map(tuple_gram, ts))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .collection import (
     left_mutation,
     right_mutation,
     serre_matrix,
+    unipotent_grams,
 )
 from .markov import (
     GWord,
@@ -36,6 +37,7 @@ from .markov import (
     stabilizer_scan,
     t_map,
     unipotency_oracle,
+    unipotency_oracles,
 )
 
 
@@ -198,12 +200,17 @@ def mutation_suite(seed: int = 0) -> list[Check]:
         if right_mutation(left_mutation(c, i), i) == c and left_mutation(right_mutation(c, i), i) == c:
             invol += 1
     checks.append(check(f"mutation involution ({trials} random grams)", trials, invol))
+    braid_sides = [
+        (parse_word(f"L{i} L{i + 1} L{i}", 4), parse_word(f"L{i + 1} L{i} L{i + 1}", 4))
+        for i in range(2)
+    ]
+    far_left, far_right = parse_word("L0 L2", 4), parse_word("L2 L0", 4)
     for _ in range(trials):
         c = from_gram(random_unitriangular(rng, 4))
-        i = rng.randrange(2)
-        lhs = apply_word(c, parse_word(f"L{i} L{i + 1} L{i}", 4))
-        rhs = apply_word(c, parse_word(f"L{i + 1} L{i} L{i + 1}", 4))
-        far = apply_word(c, parse_word("L0 L2", 4)) == apply_word(c, parse_word("L2 L0", 4))
+        lhs_word, rhs_word = braid_sides[rng.randrange(2)]
+        lhs = apply_word(c, lhs_word)
+        rhs = apply_word(c, rhs_word)
+        far = apply_word(c, far_left) == apply_word(c, far_right)
         if lhs == rhs and far:
             braid_rel += 1
     checks.append(check(f"braid and far-commutation relations ({trials} random grams)", trials, braid_rel))
@@ -236,7 +243,7 @@ def mutation_suite(seed: int = 0) -> list[Check]:
     checks.append(check("trivial words act trivially (100 random conjugated relators)", 100, trivial_words))
 
     depth5 = orbit(b3, 5)
-    unip = sum(1 for member in depth5 if is_minus_kappa_unipotent(member))
+    unip = sum(unipotent_grams([member.gram for member in depth5]))
     checks.append(check("unipotency on depth-5 orbit", len(depth5), unip))
     checks.append(check("kappa = identity is not unipotent evidence", False,
                         is_minus_kappa_unipotent(from_gram(_matrix.identity(4)))))
@@ -277,22 +284,21 @@ def markov_suite(seed: int = 0) -> list[Check]:
     )
     checks.append(check(f"G relators fix orbit tuples ({len(samples)})", len(samples), rel_ok))
     eq_ok = sum(
-        1 for t in samples
-        if eval_eq1(t) == 0 and eval_eq2(t, "corrected") == 0 and unipotency_oracle(t)
+        1 for t, oracle in zip(samples, unipotency_oracles(samples))
+        if eval_eq1(t) == 0 and eval_eq2(t, "corrected") == 0 and oracle
     )
     checks.append(check("eq1, corrected eq2 and oracle on orbit tuples", len(samples), eq_ok))
 
     sampled = [rng.choice(samples) for _ in range(1000)]
+    rel_images = [f_image(rel) for rel in BRAID_RELATORS_4]
     f_rel_ok = sum(
         1
         for t in sampled
-        if all(f_image(rel).apply(t) == t for rel in BRAID_RELATORS_4)
+        if all(image.apply(t) == t for image in rel_images)
     )
     checks.append(check("f sends braid relators to the identity action (1000 samples)", 1000, f_rel_ok))
-    w2_action = sum(
-        1 for t in sampled
-        if f_image(parse_word("R2 R1 R0", 4)).apply(t) == markov.apply_g(t, W2)
-    )
+    w2_image = f_image(parse_word("R2 R1 R0", 4))
+    w2_action = sum(1 for t in sampled if w2_image.apply(t) == markov.apply_g(t, W2))
     checks.append(check("f(R2 R1 R0) acts as w2 (1000 samples)", 1000, w2_action))
 
     b3 = pn.beilinson_collection(3)

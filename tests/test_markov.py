@@ -5,7 +5,7 @@ import sympy
 
 from excol import _matrix
 from excol.braid import BraidWord, is_trivial, parse_word
-from excol.collection import apply_word, from_gram, is_minus_kappa_unipotent
+from excol.collection import apply_word, from_gram, is_minus_kappa_unipotent, unipotent_grams
 from excol.markov import (
     MUTATION_LETTERS,
     SEED_BEILINSON,
@@ -28,6 +28,7 @@ from excol.markov import (
     t_map,
     tuple_gram,
     unipotency_oracle,
+    unipotency_oracles,
 )
 from excol.pn import beilinson_collection, twist_matrix
 
@@ -189,10 +190,10 @@ class TestOracleReference:
 
     @pytest.mark.parametrize("seed,depth", [(SEED_DUAL, 14), (SEED_BEILINSON, 10)])
     def test_orbit_tuples(self, seed, depth):
-        tuples = orbit(seed, depth)
+        tuples = list(orbit(seed, depth))
         assert len(tuples) > 1000
-        for t in tuples:
-            assert unipotency_oracle(t) is reference_unipotent(tuple_gram(t)) is True
+        for t, bit in zip(tuples, unipotency_oracles(tuples), strict=True):
+            assert bit is reference_unipotent(tuple_gram(t)) is True
 
     def test_random_tuples_both_outcomes(self):
         rng = random.Random(51)
@@ -227,6 +228,62 @@ class TestOracleReference:
         gram = beilinson_collection(n).gram
         assert is_minus_kappa_unipotent(beilinson_collection(n)) is (n % 2 == 1)
         assert reference_unipotent(gram) is (n % 2 == 1)
+
+
+def mutated_beilinson_gram(rng, n):
+    word = BraidWord(n + 1, tuple(
+        (rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(0, 6))))
+    return apply_word(beilinson_collection(n), word).gram
+
+
+class TestUnipotentGrams:
+    """The batched kernel: its input contract, and agreement with the reference."""
+
+    def test_empty(self):
+        assert unipotent_grams([]) == []
+        assert unipotency_oracles([]) == []
+
+    @pytest.mark.parametrize("grams", [
+        [_matrix.identity(3), _matrix.identity(4)],
+        [_matrix.identity(4), _matrix.identity(3)],
+        [((1, 2), (0, 1, 0))],
+        [((1, 2, 3), (0, 1, 4))],
+        [_matrix.identity(2)] * 300 + [_matrix.identity(3)],
+    ])
+    def test_sizes_must_agree(self, grams):
+        with pytest.raises(ValueError, match="gram matrices must all be k x k"):
+            unipotent_grams(grams)
+
+    def test_order_and_duplicates(self):
+        yes, no = beilinson_collection(3).gram, _matrix.identity(4)
+        grams = [yes, no, no, yes, yes, no, yes]
+        assert unipotent_grams(grams) == [g is yes for g in grams]
+        ts = [SEED_DUAL, ZERO, SEED_DUAL, SixTuple(1, 0, 0, 0, 0, 0), SEED_BEILINSON]
+        assert unipotency_oracles(ts) == [True, False, True, False, True]
+        assert unipotency_oracles(ts) == [unipotency_oracle(t) for t in ts]
+
+    @pytest.mark.parametrize("size", range(1, 11))
+    def test_sizes_against_reference(self, size):
+        rng = random.Random(60 + size)
+        grams = [
+            random_unitriangular(rng, size, -2, 2) if size == 1 or rng.random() < 0.5
+            else mutated_beilinson_gram(rng, size - 1)
+            for _ in range(80)
+        ]
+        got = unipotent_grams(grams)
+        assert got == [reference_unipotent(g) for g in grams]
+        # -kappa unipotent forces det(kappa) = (-1)^size, and det(kappa) = 1
+        assert set(got) == ({True, False} if size % 2 == 0 else {False})
+
+    @pytest.mark.parametrize("count", [255, 256, 257, 513])
+    def test_block_boundaries(self, count):
+        rng = random.Random(count)
+        pool = [mutated_beilinson_gram(rng, 3) for _ in range(8)]
+        pool += [random_unitriangular(rng, 4, -2, 2) for _ in range(8)]
+        expected = [reference_unipotent(g) for g in pool]
+        assert set(expected) == {True, False}
+        picks = [rng.randrange(len(pool)) for _ in range(count)]
+        assert unipotent_grams([pool[k] for k in picks]) == [expected[k] for k in picks]
 
 
 class TestGroupAction:

@@ -23,8 +23,10 @@ from excol.collection import (  # noqa: E402
     from_json_text,
     is_minus_kappa_unipotent,
     to_json_text,
+    unipotent_grams,
 )
 from excol.pn import beilinson_collection  # noqa: E402
+from test_markov import reference_unipotent  # noqa: E402
 
 
 @st.composite
@@ -154,6 +156,32 @@ def test_single_mutation_keeps_unipotency(c, data):
     i = data.draw(st.integers(0, c.n - 1))
     side = data.draw(st.sampled_from((1, -1)))
     assert is_minus_kappa_unipotent(_mutate(c, i, side)) == is_minus_kappa_unipotent(c)
+
+
+@st.composite
+def unitriangular_grams(draw, size):
+    """A random unitriangular gram, or a mutated Beilinson one (unipotent for even size)."""
+    if size > 1 and draw(st.booleans()):
+        letters = draw(st.lists(
+            st.tuples(st.integers(0, size - 2), st.sampled_from((1, -1))), max_size=6))
+        return apply_word(beilinson_collection(size - 1), BraidWord(size, tuple(letters))).gram
+    return tuple(
+        tuple(1 if i == j else (draw(st.integers(-3, 3)) if j > i else 0) for j in range(size))
+        for i in range(size)
+    )
+
+
+@st.composite
+def gram_lists(draw):
+    """Grams of one size drawn from a small pool, so that some repeat."""
+    pool = draw(st.lists(unitriangular_grams(draw(st.integers(1, 6))), min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gram_lists())
+def test_batched_kernel_matches_reference(grams):
+    assert unipotent_grams(grams) == [reference_unipotent(g) for g in grams]
 
 
 # ---------------------------------------------------------------------------
