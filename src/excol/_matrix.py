@@ -1,11 +1,10 @@
 """Exact arithmetic on small square matrices.
 
 Matrices are immutable tuples of row tuples.  Integer matrices stay
-integer: the one elimination (determinant and unimodular inverse) is
-fraction free, and no floating point is used anywhere.  Upper
-unitriangular systems need no elimination: one back substitution,
-``unitriangular_solve``, serves the Serre matrix G^-1 G^T of a Gram
-matrix G and the twist on K(P^n).
+integer: the one elimination, ``determinant``, is fraction free, and
+no floating point is used anywhere.  Upper unitriangular systems need
+no elimination: one back substitution, ``unitriangular_solve``, serves
+the Serre matrix G^-1 G^T of a Gram matrix G.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ def mat_neg(a: IntMatrix) -> IntMatrix:
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     """Nonnegative integer power by repeated squaring."""
     if k < 0:
-        raise ValueError("use inverse_unimodular first for negative powers")
+        raise ValueError(f"matrix power must be nonnegative, got {k}")
     acc = None
     base = a
     while k:
@@ -112,45 +111,34 @@ def unitriangular_solve(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(x)
 
 
-def _bareiss(a: IntMatrix, augment: bool) -> tuple[int, list[list[int]]]:
-    """Fraction-free Gauss-Jordan elimination of a square integer matrix.
+def determinant(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free elimination (Bareiss 1968).
 
-    Returns (det, adj) with adj the adjugate when ``augment`` is set (an
-    empty list otherwise, or when det is zero).  Each step replaces every
-    other row r by (p * r - m * pivot_row) / p_prev, where p is the new
-    pivot, m the entry of r in the pivot column and p_prev the previous
-    pivot.  Every entry is then a minor of [a | I], so the division is
-    exact and entries stay integers no longer than those minors
-    (Bareiss 1968).  The last pivot is det(a) up to the sign of the row
-    swaps, and the right block is last pivot * a^-1.
+    Each step replaces every row r below the pivot row by
+    (p * r - m * pivot_row) / p_prev, where p is the new pivot, m the
+    entry of r in the pivot column and p_prev the previous pivot.  Every
+    entry is then a minor of a, so the division is exact and entries stay
+    integers no longer than those minors.  The last pivot is det(a) up to
+    the sign of the row swaps.
     """
-    n = len(a)
-    m = [list(row) + ([int(i == j) for j in range(n)] if augment else [])
-         for i, row in enumerate(a)]
+    m = [list(row) for row in a]
+    n = len(m)
     prev, sign = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
-            return 0, []
+            return 0
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
         top = m[col]
         p = top[col]
-        for r in range(n):
-            if r != col:
-                row = m[r]
-                f = row[col]
-                m[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        for r in range(col + 1, n):
+            row = m[r]
+            f = row[col]
+            m[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
-    det = sign * prev
-    adj = [[sign * x for x in row[n:]] for row in m] if augment else []
-    return det, adj
-
-
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination."""
-    return _bareiss(a, augment=False)[0]
+    return sign * prev
 
 
 def check_unimodular(det: int) -> None:
@@ -159,10 +147,3 @@ def check_unimodular(det: int) -> None:
         raise ValueError("matrix is singular")
     if det not in (1, -1):
         raise ValueError("matrix is not unimodular")
-
-
-def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    det, adj = _bareiss(a, augment=True)
-    check_unimodular(det)
-    return freeze([[det * x for x in row] for row in adj])

@@ -235,10 +235,12 @@ def from_json_text(text: str) -> NumericalCollection:
             payload = json.loads(text)
     except RecursionError as exc:  # arrays nested past the interpreter's stack
         raise ValueError(f"malformed collection file: {exc}") from None
-    try:
-        n, raw_gram, raw_classes = payload["n"], payload["gram"], payload["classes"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed collection file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError("malformed collection file: expected a JSON object")
+    for key in ("n", "gram", "classes"):
+        if key not in payload:
+            raise ValueError(f"malformed collection file: missing key {key!r}")
+    n, raw_gram, raw_classes = payload["n"], payload["gram"], payload["classes"]
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     c = from_gram(_int_matrix(raw_gram, n + 1, "gram"))

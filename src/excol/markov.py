@@ -281,8 +281,10 @@ def stabilizer_scan(
     ``cap`` bounds the freely reduced words covered: with 2n letters
     there are N(L) = sum_{k=1..L} 2n (2n-1)^(k-1) of length 1..L.  If
     N(max_len) > max(cap, 0), raises CapExceededError with the complete
-    sorted result for the largest L' with N(L') <= cap attached; the scan
-    then holds about sqrt(cap) half-sequences.  Raises ValueError if
+    sorted result for the largest L' with N(L') <= cap attached.  The
+    scan holds N(ceil(L'/2)) + 1 half-sequences: within a small factor of
+    sqrt(cap) with 4 or more letters, but about cap/2 with the 2 letters
+    of a 2-object collection, where N(L) = 2L.  Raises ValueError if
     ``max_len`` is negative.
     """
     if max_len < 0:

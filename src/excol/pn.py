@@ -2,8 +2,8 @@
 
 Line bundle cohomology on P^n, Euler pairings between twists, the
 collection {O, O(1), ..., O(n)} as a numerical collection, and the
-matrices of the twist and of the Serre functor on K(P^n) in the basis
-[O], [O(1)], ..., [O(n)].
+matrices of the twists - (x) O(m) and of the Serre functor on K(P^n) in
+the basis [O], [O(1)], ..., [O(n)], all from one closed form.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ from .collection import NumericalCollection
 
 
 def binom_poly(a: int, b: int) -> int:
-    """The binomial polynomial a(a-1)...(a-b+1)/b!, valid for negative a."""
+    """The binomial polynomial a(a-1)...(a-b+1)/b!, valid for negative a.
+
+    For a < 0 it is (-1)^b C(b-a-1, b): negate each factor of the product.
+    """
     if b < 0:
         raise ValueError("lower index must be nonnegative")
-    num = 1
-    for k in range(b):
-        num *= a - k
-    return num // math.factorial(b)
+    return math.comb(a, b) if a >= 0 else (-1) ** b * math.comb(b - a - 1, b)
 
 
 def line_bundle_cohomology(n: int, m: int, i: int) -> int:
@@ -58,22 +58,26 @@ def beilinson_collection(n: int) -> NumericalCollection:
     return collection.from_gram(gram)
 
 
-def twist_matrix(n: int) -> IntMatrix:
-    """Matrix of - (x) O(1) on K(P^n) in the basis [O], ..., [O(n)].
+def twist_matrix(n: int, m: int = 1) -> IntMatrix:
+    """Matrix of - (x) O(m) on K(P^n) in the basis [O], ..., [O(n)], any integer m.
 
-    Columns 0..n-1 shift the basis.  The last column is the class of
-    O(n+1), read off the exact Koszul complex
-    0 -> O -> O(1)^C(n+1,1) -> ... -> O(n)^C(n+1,n) -> O(n+1) -> 0:
+    Column j is the class of O(j+m).  A class is fixed by its Hilbert
+    polynomial t -> chi(O(d+t)), of degree n, and Lagrange interpolation on
+    the nodes t = 0..n gives, with binomial polynomials,
+    [O(d)] = sum_k (-1)^(n-k) C(d, k) C(d-k-1, n-k) [O(k)].
+    For 0 <= d <= n that is [O(d)] itself, so those columns are unit
+    vectors; for d = n+1 it is the Koszul relation
     [O(n+1)] = sum_k (-1)^(n-k) C(n+1, k) [O(k)].
     """
-    last = [(-1) ** (n - k) * math.comb(n + 1, k) for k in range(n + 1)]
-    cols = [[1 if r == c + 1 else 0 for r in range(n + 1)] for c in range(n)]
-    cols.append(last)
+    cols = [
+        [0] * d + [1] + [0] * (n - d) if 0 <= d <= n else
+        [(-1) ** (n - k) * binom_poly(d, k) * binom_poly(d - k - 1, n - k) for k in range(n + 1)]
+        for d in range(m, m + n + 1)
+    ]
     return _matrix.transpose(_matrix.freeze(cols))
 
 
 def serre_class_map(n: int) -> IntMatrix:
-    """Matrix of the Serre functor - (x) O(-n-1)[n] on K(P^n)."""
-    tw_inv = _matrix.inverse_unimodular(twist_matrix(n))
-    m = _matrix.mat_pow(tw_inv, n + 1)
-    return m if n % 2 == 0 else _matrix.mat_neg(m)
+    """Matrix of the Serre functor - (x) O(-n-1)[n] on K(P^n): (-1)^n T^-(n+1)."""
+    tw = twist_matrix(n, -n - 1)
+    return tw if n % 2 == 0 else _matrix.mat_neg(tw)

@@ -166,13 +166,14 @@ def region_system(d: DegreeMatrix) -> InequalitySystem:
     return InequalitySystem(d.n + 1, _region_rows(d, d.n + 1))
 
 
-def lemma41_system(kidx: int, n: int = 3) -> InequalitySystem:
-    """Phases common to a strong collection and its k-th right mutation.
+def lemma41_system(kidx: int) -> InequalitySystem:
+    """Phases common to a strong 4-object collection and its k-th right mutation.
 
     Conditions: (i) the strong-collection system, (ii') the mutated
     object stays one shift away, phi_{k+1} < phi_k + 1, and (iii)
     phi_{k+1} < phi_{k+i} - (i-1) for i >= 2.
     """
+    n = 3
     if not 0 <= kidx <= n - 1:
         raise IndexError(f"mutation index {kidx} out of range for n={n}")
     rows = _region_rows(DegreeMatrix.all_zero(n), n + 1)

@@ -114,10 +114,8 @@ def test_criterion_4_serre_matrix():
         kappa = _matrix.unitriangular_solve(gram, _matrix.transpose(gram))
         if sympy.Matrix(kappa) != sympy.Matrix(gram).inv() * sympy.Matrix(gram).T:
             failures.append(f"back substitution differs from the inverse at n={n}")
-        expected = _matrix.mat_pow(_matrix.inverse_unimodular(twist_matrix(n)), n + 1)
-        if n % 2:
-            expected = _matrix.mat_neg(expected)
-        if kappa != expected or kappa != serre_class_map(n):
+        expected = (-1) ** n * sympy.Matrix(twist_matrix(n)) ** -(n + 1)
+        if sympy.Matrix(kappa) != expected or kappa != serre_class_map(n):
             failures.append(f"matrix identity fails at n={n}")
         plus = _matrix.mat_pow(_matrix.mat_add(kappa, _matrix.identity(n + 1)), n + 1)
         minus = _matrix.mat_pow(

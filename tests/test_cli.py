@@ -151,6 +151,12 @@ class TestMutate:
         assert out == "" and err.startswith("error: malformed collection file")
         assert err.count("\n") == 1
 
+    def test_non_object_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1,2]\n")
+        status, out, err = run(capsys, ["mutate", str(path), "--word", "L0"])
+        assert (status, out, err) == (2, "", "error: malformed collection file: expected a JSON object\n")
+
     def test_json_report(self, beilinson_file, tmp_path, capsys):
         status, out, _ = run(
             capsys,

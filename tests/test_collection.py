@@ -371,6 +371,19 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="malformed collection file"):
             from_json_text("[" * 100_000)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1,2]", "expected a JSON object"),
+        ('"abc"', "expected a JSON object"),
+        ("7", "expected a JSON object"),
+        ("null", "expected a JSON object"),
+        ('{"n":3}', "missing key 'gram'"),
+    ])
+    def test_shape_errors_name_the_shape(self, text, message):
+        # the message is the file's fault, not the interpreter's wording
+        with pytest.raises(ValueError) as info:
+            from_json_text(text)
+        assert str(info.value) == f"malformed collection file: {message}"
+
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             from_json_text('{"n":3}')

@@ -21,15 +21,41 @@ def test_removed_names_are_not_exported():
         assert not hasattr(excol, name)
 
 
-def test_every_export_is_used_in_src():
-    # an export that only tests read is test-only API
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+           for path in Path(excol.__file__).parent.glob("*.py") if path.name != "__init__.py"}
+
+
+def loaded_names() -> set:
+    """Every name read as a variable or an attribute in the package modules."""
     loaded = set()
-    for path in Path(excol.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
+    return loaded
+
+
+def test_every_export_is_used_in_src():
+    # an export that only tests read is test-only API
+    loaded = loaded_names()
     assert [name for name in excol.__all__ if name not in loaded] == []
+
+
+def test_every_top_level_definition_is_used_in_src():
+    # a function, class or constant that no module reads is dead code
+    loaded = loaded_names()
+    unused = []
+    for module, tree in sorted(MODULES.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unused.extend(f"{module}:{name}" for name in names if name not in loaded)
+    assert unused == []

@@ -94,6 +94,16 @@ class TestEulerCharacteristic:
             for b in range(0, 5):
                 assert binom_poly(a, b) == math.comb(a, b)
 
+    def test_binom_poly_is_the_falling_factorial(self):
+        for a in range(-40, 41):
+            for b in range(30):
+                falling = math.prod(a - k for k in range(b))
+                assert binom_poly(a, b) * math.factorial(b) == falling
+
+    def test_binom_poly_rejects_negative_lower_index(self):
+        with pytest.raises(ValueError, match="lower index must be nonnegative"):
+            binom_poly(3, -1)
+
 
 class TestBeilinson:
     def test_p3_tuple(self):
@@ -140,6 +150,13 @@ class TestTwist:
             pairings = tuple((euler_chi_line(n, n + 1 - i),) for i in range(n + 1))
             solved = _matrix.unitriangular_solve(gram, pairings)
             assert tuple(row[n] for row in twist_matrix(n)) == tuple(row[0] for row in solved)
+
+    def test_twist_by_m_is_the_mth_power(self):
+        # reference: integer powers of T = twist_matrix(n), negative ones by sympy's inverse
+        for n in range(1, 7):
+            tw = sympy.Matrix(twist_matrix(n))
+            for m in range(-n - 2, n + 3):
+                assert sympy.Matrix(twist_matrix(n, m)) == tw ** m, (n, m)
 
     def test_twist_preserves_euler_pairings(self):
         # chi(E, F) = chi(E(1), F(1)): T^t A T == A on the ambient basis

@@ -114,15 +114,21 @@ def collections_with_forms(draw):
                   for j in range(size))
             for i in range(size)
         )
+    # each column operation on the classes is undone by a row operation
+    # on their inverse, applied on the left
     cols = [[int(i == j) for i in range(size)] for j in range(size)]
+    inv = [[int(i == j) for j in range(size)] for i in range(size)]
     for j, k, m in draw(st.lists(st.tuples(
             st.integers(0, size - 1), st.integers(0, size - 1), st.integers(-3, 3)), max_size=8)):
         if j != k:
             cols[j] = [x + m * y for x, y in zip(cols[j], cols[k])]
+            inv[k] = [x - m * y for x, y in zip(inv[k], inv[j])]
         else:
             cols[j] = [-x for x in cols[j]]
+            inv[j] = [-x for x in inv[j]]
     classes = _matrix.transpose(_matrix.freeze(cols))
-    inv = _matrix.inverse_unimodular(classes)
+    inv = _matrix.freeze(inv)
+    assert _matrix.mat_mul(classes, inv) == _matrix.identity(size)
     form = _matrix.mat_mul(_matrix.mat_mul(_matrix.transpose(inv), gram), inv)
     return NumericalCollection(gram, classes), form
 
