@@ -67,7 +67,6 @@ def _mul(p: Perm, q: Perm) -> Perm:
     return tuple(q[i] for i in p)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _inv(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, v in enumerate(p):
@@ -165,9 +164,6 @@ class BraidWord(Value):
     def __pow__(self, k: int) -> "BraidWord":
         base = self if k >= 0 else self.inverse()
         return BraidWord(self.strands, base.letters * abs(k))
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def free_reduce(self) -> "BraidWord":
         """Cancel adjacent sigma_i sigma_i^-1 pairs until none remain."""

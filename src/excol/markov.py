@@ -141,9 +141,6 @@ class GWord(Value):
             if let not in G_LETTERS:
                 raise ValueError(f"unknown group letter {let!r}")
 
-    def __mul__(self, other: "GWord") -> "GWord":
-        return GWord(self.letters + other.letters)
-
     def inverse(self) -> "GWord":
         inv = {V: (V,), W3: (W3,), W2: (W2_INV,), W2_INV: (W2,)}
         out: list[str] = []
@@ -244,92 +241,79 @@ def orbit(seed: OrbitSeed, depth: int, cap: int = 100_000) -> dict:
     return seen
 
 
-def _reachable_length(alphabet: int, max_len: int, cap: int) -> int:
-    """The largest L <= max_len with N(L) <= cap for an alphabet of size a >= 2.
-
-    N(L) = sum_{k=1..L} a (a-1)^(k-1) counts the nonempty freely reduced
-    words up to length L.  It is 2L when a == 2 and grows geometrically
-    for a >= 3, so the search takes O(log cap) steps.
-    """
-    if alphabet == 2:
-        return min(max_len, cap // 2)
-    length, total = 0, 0
-    while length < max_len:
-        total += alphabet * (alphabet - 1) ** length
-        if total > cap:
-            break
-        length += 1
-    return length
-
-
 def stabilizer_scan(
     c: NumericalCollection, max_len: int, cap: int = 1_000_000
 ) -> list[BraidWord]:
     """All freely reduced words up to ``max_len`` fixing (gram, classes).
 
-    Meets in the middle: every freely reduced sequence of at most
-    ceil(max_len/2) mutation letters is applied level by level through the
-    rank-2 kernel ``collection._rank2`` on bare (gram, classes) pairs, and
-    each level is indexed by the pair it reaches.  A word whose applied
-    letters are y then v, with len(y) = ceil(m/2) for its length m, fixes
-    the pair exactly when y reaches the same pair as the sequence u of the
-    inverses of v's letters, applied in reverse; the word is freely
-    reduced exactly when the last applied letters of y and u differ.  A
-    ``BraidWord`` is built only for such a match.  The empty word is
-    omitted.  Results come back sorted by length then letters.
+    Meets in the middle, one length m at a time: the freely reduced
+    sequences of k = ceil(m/2) mutation letters are applied through the
+    rank-2 kernel ``collection._rank2`` on bare (gram, classes) pairs,
+    and those of j = floor(m/2) letters are indexed by the pair they
+    reach.  A word whose applied letters are y then v, with len(y) = k,
+    fixes the pair exactly when y reaches the same pair as the sequence u
+    of the inverses of v's letters, applied in reverse; the word is
+    freely reduced exactly when the last applied letters of y and u
+    differ.  A ``BraidWord`` is built only for such a match.  The empty
+    word is omitted.  Results come back sorted by length then letters.
 
     ``cap`` bounds the freely reduced words covered: with 2n letters
     there are N(L) = sum_{k=1..L} 2n (2n-1)^(k-1) of length 1..L.  If
     N(max_len) > max(cap, 0), raises CapExceededError with the complete
-    sorted result for the largest L' with N(L') <= cap attached.  The
-    scan holds N(ceil(L'/2)) + 1 half-sequences: within a small factor of
-    sqrt(cap) with 4 or more letters, but about cap/2 with the 2 letters
-    of a 2-object collection, where N(L) = 2L.  Raises ValueError if
-    ``max_len`` is negative.
+    sorted result for the largest L' with N(L') <= cap attached.  Each
+    half-sequence keeps its predecessor and last letter, and only the
+    deepest level keeps the pairs it reaches: within a small factor of
+    sqrt(cap) pairs with 4 or more letters, two with the 2 letters of a
+    2-object collection (N(L) = 2L, so up to cap/4 levels of two
+    sequences each).  Raises ValueError if ``max_len`` is negative.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
     # letter code k stands for alphabet[k]; the inverse of code k is k ^ 1,
     # and codes compare as the letters do
     alphabet = sorted(_letters_for(c.n))
-    if not alphabet:  # a single object admits no mutation: N = 0
+    a = len(alphabet)
+    if not a:  # a single object admits no mutation: N = 0
         return []
-    reach = _reachable_length(len(alphabet), max_len, max(cap, 0))
-    # levels[k]: (pair, index of the predecessor in levels[k-1], last code,
-    # -1 for the empty sequence) for each freely reduced sequence of k
-    # applied letters
-    levels = [[((c.gram, c.classes), -1, -1)]]
-    for _ in range((reach + 1) // 2):
-        levels.append([
-            (_rank2(gram, classes, i, e), p, code)
-            for p, ((gram, classes), _, last) in enumerate(levels[-1])
-            for code, (i, e) in enumerate(alphabet)
-            if code != last ^ 1
-        ])
-    index = []
-    for level in levels[: reach // 2 + 1]:
-        by_pair: dict = {}
-        for pos, (pair, _, _) in enumerate(level):
-            by_pair.setdefault(pair, []).append(pos)
-        index.append(by_pair)
+    # steps[k]: (index of the predecessor in steps[k-1], last applied code)
+    # for each freely reduced sequence of k applied letters; pairs: the pair
+    # each sequence of the deepest level reaches; index (built at m = 1):
+    # the positions in steps[j] of each pair that level j reaches
+    steps = [[(-1, -1)]]
+    pairs = [(c.gram, c.classes)]
 
     def applied(k: int, pos: int) -> list[int]:
-        """The codes applied by levels[k][pos], last first."""
+        """The codes applied by steps[k][pos], last first."""
         out = []
         while k:
-            _, pos, code = levels[k][pos]
+            pos, code = steps[k][pos]
             out.append(code)
             k -= 1
         return out
 
     found: list[BraidWord] = []
-    for m in range(1, reach + 1):
+    covered = 0
+    for m in range(1, max_len + 1):
+        covered += a * (a - 1) ** (m - 1)
+        if covered > cap:
+            raise CapExceededError(f"stabilizer scan exceeded cap of {cap} words", found)
         k, j = (m + 1) // 2, m // 2
-        partners = index[j]
+        if j == len(steps) - 1:
+            index: dict = {}
+            for pos, pair in enumerate(pairs):
+                index.setdefault(pair, []).append(pos)
+        if k == len(steps):
+            steps.append([
+                (p, code)
+                for p, (_, last) in enumerate(steps[-1])
+                for code in range(a)
+                if code != last ^ 1
+            ])
+            pairs = [_rank2(*pairs[p], *alphabet[code]) for p, code in steps[-1]]
         spellings = []
-        for pos, (pair, _, last) in enumerate(levels[k]):
+        for pos, (pair, (_, last)) in enumerate(zip(pairs, steps[k])):
             # the seam is freely reduced when the last applied codes differ
-            matches = [u for u in partners.get(pair, ()) if levels[j][u][2] != last]
+            matches = [u for u in index.get(pair, ()) if steps[j][u][1] != last]
             if not matches:
                 continue
             tail = applied(k, pos)
@@ -341,6 +325,4 @@ def stabilizer_scan(
                 spellings.append(tuple(head + tail))
         spellings.sort()
         found.extend(BraidWord(c.strands, tuple(map(alphabet.__getitem__, w))) for w in spellings)
-    if reach < max_len:
-        raise CapExceededError(f"stabilizer scan exceeded cap of {cap} words", found)
     return found

@@ -344,7 +344,7 @@ class TestOnePassReference:
                 if kind == "delta-spliced":
                     w = sample_word(rng, strands, rng.randint(0, 20), "mixed")
                     if strands > 1:
-                        pos = rng.randint(0, len(w))
+                        pos = rng.randint(0, len(w.letters))
                         d = delta_power(strands, rng.choice((-2, -1, 1, 2, 3)))
                         w = BraidWord(strands, w.letters[:pos] + d.letters + w.letters[pos:])
                 else:

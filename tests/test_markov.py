@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -17,7 +18,6 @@ from excol.markov import (
     W2,
     W2_INV,
     W3,
-    _reachable_length,
     apply_g,
     check_equivariance,
     eval_eq1,
@@ -86,28 +86,29 @@ def random_unitriangular(rng, size, lo=-9, hi=9):
 
 def assert_matches_recursive_scan(c, max_len, cap):
     """The recursive depth-first search the scan replaced, kept as a reference."""
+    letters = tuple((i, e) for e in (1, -1) for i in range(c.n))
     found, visited = [], 0
 
     def rec(state, path):
         nonlocal visited
         if len(path) == max_len:
             return
-        for let in MUTATION_LETTERS:
+        for let in letters:
             if path and path[-1] == (let[0], -let[1]):
                 continue
             visited += 1
             if visited > cap:
                 raise CapExceededError("cap", found)
-            nxt = apply_word(state, BraidWord(4, (let,)))
+            nxt = apply_word(state, BraidWord(c.strands, (let,)))
             path.append(let)
             if nxt == c:
-                found.append(BraidWord(4, tuple(reversed(path))))
+                found.append(BraidWord(c.strands, tuple(reversed(path))))
             rec(nxt, path)
             path.pop()
 
     try:
         rec(c, [])
-        expected = sorted(found, key=lambda w: (len(w), w.letters))
+        expected = sorted(found, key=lambda w: (len(w.letters), w.letters))
     except CapExceededError:
         expected = None
     if expected is not None:
@@ -116,7 +117,7 @@ def assert_matches_recursive_scan(c, max_len, cap):
         # the partial list is the whole scan at the longest length the cap covers
         with pytest.raises(CapExceededError) as exc:
             stabilizer_scan(c, max_len, cap=cap)
-        reach = max(L for L in range(max_len + 1) if words_counted(6, L) <= max(cap, 0))
+        reach = max(L for L in range(max_len + 1) if words_counted(len(letters), L) <= max(cap, 0))
         assert exc.value.partial == stabilizer_scan(c, reach)
 
 
@@ -333,7 +334,7 @@ class TestGroupAction:
         for _ in range(100):
             g = GWord(tuple(rng.choice(letters) for _ in range(rng.randint(0, 8))))
             t = SixTuple(*(rng.randint(-5, 5) for _ in range(6)))
-            assert (g * g.inverse()).apply(t) == t
+            assert GWord(g.letters + g.inverse().letters).apply(t) == t
 
 
 class TestHomomorphism:
@@ -347,7 +348,7 @@ class TestHomomorphism:
             left = f_image(parse_word(f"L{i}", 4))
             right = f_image(parse_word(f"R{i}", 4))
             assert left == right.inverse()
-            assert fixes_symbolically(left * right)
+            assert fixes_symbolically(GWord(left.letters + right.letters))
 
     def test_empty_word(self):
         assert f_image(BraidWord(4)) == GWord(())
@@ -505,6 +506,23 @@ class TestStabilizerScan:
         # along a word the classes of b3 change, those of the identity never do
         assert_matches_recursive_scan(beilinson_collection(3), max_len, cap)
 
+    # 2 letters cover N(L) = 2L words; 4 letters 4, 16, 52, 160, 484, 1456
+    @pytest.mark.parametrize("gram", [_matrix.identity(2), ((1, 1), (0, 1)), ((1, 2), (0, 1))])
+    @pytest.mark.parametrize("max_len,cap", [
+        (0, -1), (1, 1), (1, 2), (8, 15), (8, 16), (9, 10**6), (12, 23), (13, 24),
+    ])
+    def test_two_objects_match_recursive_reference(self, gram, max_len, cap):
+        assert_matches_recursive_scan(from_gram(gram), max_len, cap)
+
+    @pytest.mark.parametrize("gram", [
+        _matrix.identity(3), ((1, 1, 0), (0, 1, 1), (0, 0, 1)), beilinson_collection(2).gram,
+    ])
+    @pytest.mark.parametrize("max_len,cap", [
+        (1, 3), (1, 4), (3, 51), (3, 52), (4, 159), (6, 1455), (6, 1456), (6, 10**6),
+    ])
+    def test_three_objects_match_recursive_reference(self, gram, max_len, cap):
+        assert_matches_recursive_scan(from_gram(gram), max_len, cap)
+
     def test_negative_max_len(self):
         with pytest.raises(ValueError):
             stabilizer_scan(beilinson_collection(3), -3)
@@ -530,17 +548,19 @@ class TestStabilizerScan:
             stabilizer_scan(c, 10**18, cap=9)
         assert exc.value.partial == quarter_turns[:2]
 
-    def test_reachable_length(self):
-        for alphabet in (2, 4, 6):
-            for max_len in range(6):
-                for cap in range(400):
-                    expected = max(L for L in range(max_len + 1)
-                                   if words_counted(alphabet, L) <= cap)
-                    assert _reachable_length(alphabet, max_len, cap) == expected
-        # closed form for two letters, geometric growth otherwise
-        assert _reachable_length(2, 10**18, 10**18) == 5 * 10**17
-        reach = _reachable_length(6, 10**18, 10**100)
-        assert words_counted(6, reach) <= 10**100 < words_counted(6, reach + 1)
+    def test_two_object_scan_keeps_pairs_of_the_deepest_level_only(self):
+        # 2 letters cover 10000 lengths under a cap of 20000, so 5000 levels
+        # of half-sequences: keeping the pairs of every level peaks near
+        # 7.5 MB, keeping those of the deepest level only near 1.1 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError) as exc:
+                stabilizer_scan(beilinson_collection(1), 10**6, cap=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.partial == []
+        assert peak < 3 * 2**20
 
     def test_b3_length_10_words_are_trivial(self):
         c = beilinson_collection(3)

@@ -63,7 +63,7 @@ def test_relator_insertion_keeps_normal_form(w, data):
     rel = BraidWord(w.strands, rel)
     if data.draw(st.booleans()):
         rel = rel.inverse()
-    pos = data.draw(st.integers(0, len(w)))
+    pos = data.draw(st.integers(0, len(w.letters)))
     spliced = BraidWord(w.strands, w.letters[:pos] + rel.letters + w.letters[pos:])
     assert normal_form(spliced) == normal_form(w)
 
