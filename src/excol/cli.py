@@ -89,54 +89,46 @@ def cmd_verify(args) -> int:
     return status
 
 
+def _capped_run(enumerate_, seed, bound: int, cap: int, lines) -> int:
+    """Print the lines of an enumeration's result and return 0; past
+    ``cap``, those of the partial result, then one stderr line, and return 1."""
+    try:
+        result, status = enumerate_(seed, bound, cap=cap), 0
+    except CapExceededError as exc:
+        result, status = exc.partial, 1
+    for line in lines(result):
+        print(line)
+    if status:
+        print(f"cap of {cap} exceeded; output is partial", file=sys.stderr)
+    return status
+
+
 def cmd_orbit(args) -> int:
     if (args.tuple is None) == (args.file is None):
         print("orbit needs exactly one of FILE or --tuple", file=sys.stderr)
         return 2
-    # tuple entries of a mutated collection can pass CPython's int/str digit limit
-    with _matrix.unlimited_int_digits():
-        if args.tuple is not None:
-            seed = _parse_tuple(args.tuple)
-            to_tuple = lambda t: t
-        else:
-            c = collection.load(args.file)
-            if c.n != 3:
-                print("orbit records need a collection of 4 objects", file=sys.stderr)
-                return 2
-            seed = c
-            to_tuple = markov.t_map
-        exceeded = False
-        try:
-            members = markov.orbit(seed, args.depth, cap=args.cap)
-        except CapExceededError as exc:
-            members = exc.partial
-            exceeded = True
+    if args.tuple is not None:
+        seed = _parse_tuple(args.tuple)
+    else:
+        seed = collection.load(args.file)
+        if seed.n != 3:
+            print("orbit records need a collection of 4 objects", file=sys.stderr)
+            return 2
+
+    def records(members):
+        tuples = list(members) if args.file is None else list(map(markov.t_map, members))
         # the oracle runs once per distinct tuple: mutated collections can share one
-        distinct = dict.fromkeys(map(to_tuple, members))
+        distinct = dict.fromkeys(tuples)
         oracle = dict(zip(distinct, markov.unipotency_oracles(distinct)))
-        for elem, depth in members.items():
-            t = to_tuple(elem)
-            print(_tuple_record(depth, t, oracle[t], args.eq2_variant, args.format))
-    if exceeded:
-        print(f"cap of {args.cap} exceeded; output is partial", file=sys.stderr)
-        return 1
-    return 0
+        for t, depth in zip(tuples, members.values()):
+            yield _tuple_record(depth, t, oracle[t], args.eq2_variant, args.format)
+
+    return _capped_run(markov.orbit, seed, args.depth, args.cap, records)
 
 
 def cmd_stabilizer(args) -> int:
-    c = collection.load(args.file)
-    exceeded = False
-    try:
-        words = markov.stabilizer_scan(c, args.max_len, cap=args.cap)
-    except CapExceededError as exc:
-        words = exc.partial
-        exceeded = True
-    for w in words:
-        print(w.to_text())
-    if exceeded:
-        print(f"cap of {args.cap} exceeded; output is partial", file=sys.stderr)
-        return 1
-    return 0
+    return _capped_run(markov.stabilizer_scan, collection.load(args.file), args.max_len, args.cap,
+                       lambda words: (w.to_text() for w in words))
 
 
 def _print_system(system: regions.InequalitySystem, fmt: str) -> int:
@@ -166,12 +158,11 @@ def cmd_region(args) -> int:
     if args.which == "lemma41":
         return _print_system(regions.lemma41_system(args.kidx), args.format)
     if args.which == "thm51":
-        status = 0
         for name, system in zip(("left", "right", "overlap"), regions.thm51_systems()):
             if args.format == "text":
                 print(f"# {name}")
-            status |= _print_system(system, args.format)
-        return status
+            _print_system(system, args.format)
+        return 0
     _check_at_most("--n", args.n, MAX_REGION_N)
     return _print_system(
         regions.region_system(regions.DegreeMatrix.all_zero(args.n)), args.format
@@ -276,7 +267,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # entries of mutated collections can pass CPython's int/str digit limit
+        with _matrix.unlimited_int_digits():
+            return args.func(args)
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

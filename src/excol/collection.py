@@ -151,22 +151,20 @@ def _unipotent_block(block: Sequence[IntMatrix], n1: int) -> list[bool]:
                 acc = map(sub, acc, map(mul, gi[k], x[k][col]))
             row.append(list(acc))
         x[i] = row
-    acc, base, k = None, x, n1  # the (n+1)-th power by squaring
-    while k:
-        if k & 1:
-            acc = base if acc is None else _block_mul(acc, base)
-        k >>= 1
-        if k:
-            base = _block_mul(base, base)
-    return [not any(entries) for entries in zip(*(e for row in acc for e in row))]
+    # x is nilpotent iff x^(n+1) vanishes iff x^(2^k) does for 2^k >= n+1
+    for _ in range((n1 - 1).bit_length()):
+        x = _block_mul(x, x)
+    return [not any(entries) for entries in zip(*(e for row in x for e in row))]
 
 
 def unipotent_grams(grams: Iterable[IntMatrix]) -> list[bool]:
     """For each upper unitriangular gram, whether (kappa + 1)^(n+1) vanishes.
 
     kappa + 1 = G^-1 (G + G^T) comes from one back substitution without
-    forming kappa; it is raised to the (n+1)-th power by squaring and
-    tested for zero, in exact integers.  Grams are drawn ``_BLOCK`` at a
+    forming kappa.  An (n+1) x (n+1) matrix has a vanishing (n+1)-th power
+    iff it is nilpotent, iff its 2^k-th power vanishes for 2^k >= n+1; so
+    kappa + 1 is squared k = ceil(log2(n+1)) times and tested for zero, in
+    exact integers.  Grams are drawn ``_BLOCK`` at a
     time and each matrix entry is held as a list over the block, so one
     ``map`` over two entry lists serves the whole block.  Results come
     back in input order.  Raises ValueError unless all grams are k x k

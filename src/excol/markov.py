@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Union
 from . import _matrix
 from ._value import Value
 from .braid import BraidWord, Letter, delta_word
-from .collection import NumericalCollection, _mutate, _rank2, apply_word, unipotent_grams
+from .collection import NumericalCollection, _rank2, apply_word, unipotent_grams
 
 
 class CapExceededError(RuntimeError):
@@ -204,21 +204,21 @@ OrbitSeed = Union[SixTuple, NumericalCollection]
 def orbit(seed: OrbitSeed, depth: int, cap: int = 100_000) -> dict:
     """Breadth-first closure of a seed under its generating letters.
 
-    Collections expand under their mutation letters, tuples under the
-    four group letters.  Returns an insertion-ordered mapping from each
-    distinct element to the depth at which it first appeared; raises
+    Collections expand under their mutation letters, stepped as bare
+    (gram, classes) pairs through the rank-2 kernel ``collection._rank2``,
+    and tuples under the four group letters.  A pair hashes and compares
+    like the collection holding it, so only a new member becomes a
+    ``NumericalCollection``.  Returns an insertion-ordered mapping from
+    each distinct element to the depth at which it first appeared; raises
     CapExceededError (with the partial mapping attached) past ``cap``.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if isinstance(seed, SixTuple):
-        def expand(t):
-            return (apply_g(t, let) for let in G_LETTERS)
+        letters, step, member = G_LETTERS, apply_g, SixTuple._make
     elif isinstance(seed, NumericalCollection):
-        letters = _letters_for(seed.n)
-
-        def expand(c):
-            return (_mutate(c, i, e) for i, e in letters)
+        letters, member = _letters_for(seed.n), NumericalCollection._make
+        step = lambda pair, letter: _rank2(*pair, *letter)
     else:
         raise TypeError(f"cannot enumerate an orbit of {type(seed).__name__}")
 
@@ -227,12 +227,14 @@ def orbit(seed: OrbitSeed, depth: int, cap: int = 100_000) -> dict:
     for level in range(1, depth + 1):
         new: list = []
         for elem in frontier:
-            for img in expand(elem):
+            for letter in letters:
+                img = step(elem, letter)
                 if img not in seen:
                     if len(seen) >= cap:
                         raise CapExceededError(
                             f"orbit exceeded cap of {cap} elements", seen
                         )
+                    img = member(img)
                     seen[img] = level
                     new.append(img)
         if not new:
@@ -277,8 +279,9 @@ def stabilizer_scan(
         return []
     # steps[k]: (index of the predecessor in steps[k-1], last applied code)
     # for each freely reduced sequence of k applied letters; pairs: the pair
-    # each sequence of the deepest level reaches; index (built at m = 1):
-    # the positions in steps[j] of each pair that level j reaches
+    # each sequence of the deepest level reaches; index: the positions in
+    # steps[j] of each pair that level j reaches, built once per level (at
+    # m = 1 for level 0, at m = 2j for the others)
     steps = [[(-1, -1)]]
     pairs = [(c.gram, c.classes)]
 
@@ -298,7 +301,7 @@ def stabilizer_scan(
         if covered > cap:
             raise CapExceededError(f"stabilizer scan exceeded cap of {cap} words", found)
         k, j = (m + 1) // 2, m // 2
-        if j == len(steps) - 1:
+        if m == 1 or m == 2 * j:
             index: dict = {}
             for pos, pair in enumerate(pairs):
                 index.setdefault(pair, []).append(pos)

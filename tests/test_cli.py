@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from excol import _matrix, cli
+from excol import _matrix, cli, markov, regions, suites
 from excol.braid import BraidWord, is_trivial, parse_word
 from excol.cli import main
 from excol.collection import load, to_json_text
 from excol.pn import beilinson_collection
+from excol.regions import InequalitySystem
 
 
 @pytest.fixture
@@ -22,6 +23,16 @@ def run(capsys, argv):
     status = main(argv)
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def test_option_defaults():
+    parse = cli.build_parser().parse_args
+    assert parse(["orbit", "--depth", "1"]).cap == 100_000
+    assert parse(["stabilizer", "f.json", "--max-len", "1"]).cap == 1_000_000
+    assert parse(["verify", "all"]).seed == 0
+    assert (parse(["region", "strong"]).n, parse(["region", "lemma41"]).kidx) == (3, 0)
+    assert parse(["pn", "gram"]).n == 3
+    assert parse(["braid", "nf", "L0"]).strands == 4
 
 
 class TestPnGram:
@@ -86,6 +97,14 @@ class TestMutate:
         status, _, _ = run(capsys, ["mutate", str(beilinson_file), "--word", "L0 R0"])
         assert status == 0
         assert beilinson_file.read_text() == before
+
+    def test_eq1_line_only_for_four_objects(self, beilinson_file, tmp_path, capsys):
+        status, out, _ = run(capsys, ["mutate", str(beilinson_file), "--word", "L0"])
+        assert status == 0 and "[PASS] eq1 value: expected=- actual=0\n" in out
+        p2 = tmp_path / "p2.json"
+        assert main(["pn", "gram", "--n", "2", "-o", str(p2)]) == 0
+        status, out, _ = run(capsys, ["mutate", str(p2), "--word", "L0"])
+        assert status == 0 and "eq1 value" not in out and "strong candidate" in out
 
     def test_bad_word_exits_2(self, beilinson_file, capsys):
         status, _, err = run(
@@ -169,6 +188,15 @@ class TestMutate:
 
 
 class TestVerify:
+    def test_failing_checks_listed_on_stderr(self, capsys, monkeypatch):
+        checks = [suites.Check("good", "1", "1", True), suites.Check("bad", "1", "2", False)]
+        monkeypatch.setattr(suites, "run_suite", lambda suite, seed: checks)
+        status, out, err = run(capsys, ["verify", "braid"])
+        assert (status, err) == (1, "failing check: (bad, 1, 2)\n")
+        assert out.endswith("1/2 checks passed\n")
+        status, _, err = run(capsys, ["verify", "braid", "--format", "json"])
+        assert (status, err) == (1, "")
+
     @pytest.mark.parametrize("suite", ["braid", "regions", "pn"])
     def test_suites_pass(self, suite, capsys):
         status, out, _ = run(capsys, ["verify", suite])
@@ -239,6 +267,26 @@ class TestOrbit:
         assert len(out.strip().splitlines()) == 20
         assert "partial" in err
 
+    # orbit b3.json --depth 2 has exactly 33 members
+    @pytest.mark.parametrize("cap, status", [(33, 0), (32, 1), (34, 0)])
+    def test_cap_boundary(self, beilinson_file, capsys, cap, status):
+        _, complete, _ = run(capsys, ["orbit", str(beilinson_file), "--depth", "2"])
+        assert len(complete.splitlines()) == 33
+        code, out, err = run(
+            capsys, ["orbit", str(beilinson_file), "--depth", "2", "--cap", str(cap)]
+        )
+        assert code == status
+        assert err == (f"cap of {cap} exceeded; output is partial\n" if status else "")
+        assert out.splitlines() == complete.splitlines()[:min(cap, 33)]
+
+    def test_one_t_map_per_record(self, beilinson_file, capsys, monkeypatch):
+        calls = []
+        t_map = markov.t_map
+        monkeypatch.setattr(markov, "t_map", lambda c: calls.append(c) or t_map(c))
+        status, out, _ = run(capsys, ["orbit", str(beilinson_file), "--depth", "3"])
+        assert status == 0
+        assert len(calls) == len(out.splitlines()) == 131
+
     def test_needs_exactly_one_input(self, beilinson_file, capsys):
         status, _, _ = run(capsys, ["orbit", "--depth", "1"])
         assert status == 2
@@ -301,6 +349,19 @@ class TestOrbit:
 
 
 class TestStabilizer:
+    # N(L) = 6 + 30 + ... + 6 * 5^(L-1) freely reduced words: N(4) = 936,
+    # N(5) = 4686; b3 has 8 stabilizer words of length 4 and none of 5
+    @pytest.mark.parametrize("max_len, cap, status, words", [
+        (5, 4686, 0, 8), (5, 4685, 1, 8), (4, 936, 0, 8), (4, 935, 1, 0),
+    ])
+    def test_cap_boundary(self, beilinson_file, capsys, max_len, cap, status, words):
+        code, out, err = run(
+            capsys, ["stabilizer", str(beilinson_file), "--max-len", str(max_len),
+                     "--cap", str(cap)]
+        )
+        assert (code, len(out.splitlines())) == (status, words)
+        assert err == (f"cap of {cap} exceeded; output is partial\n" if status else "")
+
     def test_beilinson_words_trivial(self, beilinson_file, capsys):
         status, out, _ = run(
             capsys, ["stabilizer", str(beilinson_file), "--max-len", "4"]
@@ -389,6 +450,21 @@ class TestRegion:
         payload = json.loads(out)
         assert payload["feasible"] is True
         assert len(payload["constraints"]) == 6
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_infeasible_system_prints_certificate(self, capsys, monkeypatch, fmt):
+        # every system the CLI builds is feasible, so swap in one that is not
+        system = InequalitySystem(2, [([1, -1], 0), ([-1, 1], 0)])
+        monkeypatch.setattr(regions, "region_system", lambda d: system)
+        status, out, _ = run(capsys, ["region", "strong", "--format", fmt])
+        certificate = [str(x) for x in regions.is_feasible(system).certificate]
+        assert status == 0 and certificate
+        if fmt == "json":
+            assert json.loads(out) == {"dimension": 2, "constraints": system.rows_text(),
+                                       "feasible": False, "certificate": certificate}
+        else:
+            assert out == "\n".join(system.rows_text() + ["infeasible, certificate: "
+                                                           + ",".join(certificate)]) + "\n"
 
     def test_strong_one_object(self, capsys):
         status, out, _ = run(capsys, ["region", "strong", "--n", "0"])

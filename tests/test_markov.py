@@ -1,12 +1,19 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
 import sympy
 
-from excol import _matrix
+from excol import _matrix, collection, markov
 from excol.braid import BraidWord, is_trivial, parse_word
-from excol.collection import apply_word, from_gram, is_minus_kappa_unipotent, unipotent_grams
+from excol.collection import (
+    NumericalCollection,
+    apply_word,
+    from_gram,
+    is_minus_kappa_unipotent,
+    unipotent_grams,
+)
 from excol.markov import (
     MUTATION_LETTERS,
     SEED_BEILINSON,
@@ -450,6 +457,39 @@ class TestOrbit:
         for member in members:
             assert member.gram == ((1, 2), (0, 1))
 
+    def test_collection_orbit_steps_bare_pairs(self, monkeypatch):
+        # the orbit steps (gram, classes) pairs through the rank-2 kernel,
+        # never through _mutate, and builds one collection per new member
+        c = beilinson_collection(3)
+        expected = orbit(c, 4)
+
+        def fail(*args):
+            raise AssertionError("orbit called _mutate")
+
+        made = []
+        make = NumericalCollection._make
+        monkeypatch.setattr(collection, "_mutate", fail)
+        monkeypatch.setattr(markov, "_mutate", fail, raising=False)
+        monkeypatch.setattr(NumericalCollection, "_make",
+                            classmethod(lambda cls, pair: made.append(pair) or make(pair)))
+        members = orbit(c, 4)
+        assert members == expected
+        assert list(members.items()) == list(expected.items())
+        assert all(type(m) is NumericalCollection for m in members)
+        assert len(made) == len(members) - 1
+
+    def test_partial_orbit_is_a_prefix(self):
+        # past the cap the partial mapping holds exactly the first cap members
+        full = list(orbit(SEED_DUAL, 6).items())
+        for cap in (1, 2, 40, len(full) - 1):
+            with pytest.raises(CapExceededError) as exc:
+                orbit(SEED_DUAL, 6, cap=cap)
+            assert list(exc.value.partial.items()) == full[:cap]
+        assert list(orbit(SEED_DUAL, 6, cap=len(full)).items()) == full
+
+    def test_tuple_members_are_six_tuples(self):
+        assert all(type(t) is SixTuple for t in orbit(SEED_DUAL, 3))
+
     def test_bad_seed_type(self):
         with pytest.raises(TypeError):
             orbit((4, 6, 4, 4, 6, 4), 1)
@@ -522,6 +562,23 @@ class TestStabilizerScan:
     ])
     def test_three_objects_match_recursive_reference(self, gram, max_len, cap):
         assert_matches_recursive_scan(from_gram(gram), max_len, cap)
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5, 6, 7])
+    def test_each_level_is_indexed_once(self, max_len):
+        # the scan indexes level j once, for lengths 2j and 2j+1: 1 pair at
+        # level 0 and 6 * 5^(j-1) at level j > 0 with 6 letters
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__name__", "") == "setdefault":
+                calls.append(arg)
+
+        sys.setprofile(count)
+        try:
+            stabilizer_scan(beilinson_collection(3), max_len)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 1 + sum(6 * 5 ** (j - 1) for j in range(1, max_len // 2 + 1))
 
     def test_negative_max_len(self):
         with pytest.raises(ValueError):
