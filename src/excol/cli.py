@@ -127,7 +127,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_stabilizer(args) -> int:
-    return _capped_run(markov.stabilizer_scan, collection.load(args.file), args.max_len, args.cap,
+    c = collection.load(args.file)
+    return _capped_run(markov.stabilizer_scan, c, args.max_len, args.cap,
                        lambda words: (w.to_text() for w in words))
 
 

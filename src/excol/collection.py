@@ -151,7 +151,6 @@ def _unipotent_block(block: Sequence[IntMatrix], n1: int) -> list[bool]:
                 acc = map(sub, acc, map(mul, gi[k], x[k][col]))
             row.append(list(acc))
         x[i] = row
-    # x is nilpotent iff x^(n+1) vanishes iff x^(2^k) does for 2^k >= n+1
     for _ in range((n1 - 1).bit_length()):
         x = _block_mul(x, x)
     return [not any(entries) for entries in zip(*(e for row in x for e in row))]
@@ -164,11 +163,10 @@ def unipotent_grams(grams: Iterable[IntMatrix]) -> list[bool]:
     forming kappa.  An (n+1) x (n+1) matrix has a vanishing (n+1)-th power
     iff it is nilpotent, iff its 2^k-th power vanishes for 2^k >= n+1; so
     kappa + 1 is squared k = ceil(log2(n+1)) times and tested for zero, in
-    exact integers.  Grams are drawn ``_BLOCK`` at a
-    time and each matrix entry is held as a list over the block, so one
-    ``map`` over two entry lists serves the whole block.  Results come
-    back in input order.  Raises ValueError unless all grams are k x k
-    for one k.
+    exact integers.  Grams are drawn ``_BLOCK`` at a time and each matrix
+    entry is held as a list over the block, so one ``map`` over two entry
+    lists serves the whole block.  Results come back in input order.
+    Raises ValueError unless all grams are k x k for one k.
     """
     grams = iter(grams)
     out: list[bool] = []
