@@ -2,9 +2,9 @@
 
 Matrices are immutable tuples of row tuples.  Integer matrices stay
 integer: the one elimination, ``determinant``, is fraction free, and
-no floating point is used anywhere.  Upper unitriangular systems need
-no elimination: one back substitution, ``unitriangular_solve``, serves
-the Serre matrix G^-1 G^T of a Gram matrix G.
+no floating point is used anywhere.  The Serre matrix G^-1 G^T of an
+upper unitriangular Gram matrix G needs no elimination; its back
+substitution lives with the Gram kernels in ``collection``.
 """
 
 from __future__ import annotations
@@ -91,26 +91,6 @@ def is_upper_unitriangular(a: IntMatrix) -> bool:
     )
 
 
-def unitriangular_solve(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact a^-1 . b for an upper unitriangular integer matrix a.
-
-    Back substitution on whole rows, bottom up: row i of the solution is
-    row i of b minus a[i][k] times solution row k for every k > i, and
-    zero multipliers are skipped.  Integer input gives integer output.
-    """
-    n = len(a)
-    x: list = [()] * n
-    for i in range(n - 1, -1, -1):
-        row = b[i]
-        ai = a[i]
-        for k in range(i + 1, n):
-            m = ai[k]
-            if m:
-                row = [r - m * y for r, y in zip(row, x[k])]
-        x[i] = tuple(row)
-    return tuple(x)
-
-
 def determinant(a: IntMatrix) -> int:
     """Exact determinant by fraction-free elimination (Bareiss 1968).
 
@@ -140,10 +120,3 @@ def determinant(a: IntMatrix) -> int:
         prev = p
     return sign * prev
 
-
-def check_unimodular(det: int) -> None:
-    """Raise ValueError unless a determinant is +-1."""
-    if det == 0:
-        raise ValueError("matrix is singular")
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")

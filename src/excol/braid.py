@@ -144,6 +144,8 @@ class BraidWord(Value):
         if self.strands < 1:
             raise ValueError(f"strand count must be positive, got {self.strands}")
         for i, e in self.letters:
+            if type(i) is not int or type(e) is not int:
+                raise ValueError(f"letter {(i, e)!r} must be a pair of ints")
             if not 0 <= i < self.strands - 1:
                 raise WordSyntaxError(
                     f"generator index {i} out of range for {self.strands} strands"
@@ -243,6 +245,8 @@ class GarsideForm(Value):
         w0 = _w0(self.strands)
         e = _identity_perm(self.strands)
         for f in self.factors:
+            if tuple(sorted(f)) != e:
+                raise ValueError(f"factor {f!r} is not a permutation of {self.strands} strands")
             if f == e or f == w0:
                 raise ValueError("factors may not be trivial or the half twist")
         for a, b in zip(self.factors, self.factors[1:]):

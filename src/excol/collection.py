@@ -53,9 +53,17 @@ def conserves_pairing(c: NumericalCollection, form: IntMatrix) -> bool:
     return _matrix.mat_mul(_matrix.mat_mul(ct, form), c.classes) == c.gram
 
 
+def _int_entries(rows, what: str) -> IntMatrix:
+    """Freeze a matrix whose entries are all ints; floats and bools are rejected."""
+    m = _matrix.freeze(rows)
+    if any(type(x) is not int for row in m for x in row):
+        raise ValueError(f"{what} entries must be integers")
+    return m
+
+
 def from_gram(gram) -> NumericalCollection:
-    """Build a collection with identity classes from its Gram matrix."""
-    g = _matrix.freeze(gram)
+    """Build a collection with identity classes from its integer Gram matrix."""
+    g = _int_entries(gram, "gram")
     if not _matrix.is_upper_unitriangular(g):
         raise ValueError("gram matrix must be upper triangular with unit diagonal")
     return NumericalCollection(g, _matrix.identity(len(g)))
@@ -110,9 +118,32 @@ def apply_word(c: NumericalCollection, w: BraidWord) -> NumericalCollection:
     return NumericalCollection(gram, classes)
 
 
+def _serre_block(block: Sequence[IntMatrix]) -> list:
+    """kappa = G^-1 G^T of every gram G in a block of upper unitriangular grams.
+
+    Entry (i, j) of the result is a list over the block.  Back substitution,
+    bottom up: row i of kappa is row i of G^T minus g[i][k] times row k of
+    kappa for every k > i, in exact integers.
+    """
+    # g[i][j] holds entry (i, j) of every gram in the block
+    g = [list(zip(*rows)) for rows in zip(*block)]
+    n1 = len(g)
+    x: list = [None] * n1
+    for i in range(n1 - 1, -1, -1):
+        gi = g[i]
+        row = []
+        for col in range(n1):
+            acc = g[col][i]
+            for k in range(i + 1, n1):
+                acc = map(sub, acc, map(mul, gi[k], x[k][col]))
+            row.append(list(acc))
+        x[i] = row
+    return x
+
+
 def serre_matrix(c: NumericalCollection) -> IntMatrix:
     """The Serre functor's action on the K group: kappa = gram^-1 . gram^T, exact."""
-    return _matrix.unitriangular_solve(c.gram, _matrix.transpose(c.gram))
+    return tuple(tuple(e[0] for e in row) for row in _serre_block([c.gram]))
 
 
 _BLOCK = 256  # grams per pass: the kernel holds one block's entry lists at a time
@@ -135,38 +166,18 @@ def _block_mul(a: list, b: list) -> list:
     return out
 
 
-def _unipotent_block(block: Sequence[IntMatrix], n1: int) -> list[bool]:
-    """The kernel of ``unipotent_grams`` on one block of n1 x n1 grams."""
-    # g[i][j] holds entry (i, j) of every gram in the block
-    g = [list(zip(*rows)) for rows in zip(*block)]
-    # back substitution, bottom up: row i of x = G^-1 (G + G^T) is row i
-    # of G + G^T minus g[i][k] times row k of x for every k > i
-    x: list = [None] * n1
-    for i in range(n1 - 1, -1, -1):
-        gi = g[i]
-        row = []
-        for col in range(n1):
-            acc = map(add, gi[col], g[col][i])
-            for k in range(i + 1, n1):
-                acc = map(sub, acc, map(mul, gi[k], x[k][col]))
-            row.append(list(acc))
-        x[i] = row
-    for _ in range((n1 - 1).bit_length()):
-        x = _block_mul(x, x)
-    return [not any(entries) for entries in zip(*(e for row in x for e in row))]
-
-
 def unipotent_grams(grams: Iterable[IntMatrix]) -> list[bool]:
     """For each upper unitriangular gram, whether (kappa + 1)^(n+1) vanishes.
 
-    kappa + 1 = G^-1 (G + G^T) comes from one back substitution without
-    forming kappa.  An (n+1) x (n+1) matrix has a vanishing (n+1)-th power
-    iff it is nilpotent, iff its 2^k-th power vanishes for 2^k >= n+1; so
-    kappa + 1 is squared k = ceil(log2(n+1)) times and tested for zero, in
-    exact integers.  Grams are drawn ``_BLOCK`` at a time and each matrix
-    entry is held as a list over the block, so one ``map`` over two entry
-    lists serves the whole block.  Results come back in input order.
-    Raises ValueError unless all grams are k x k for one k.
+    kappa comes from the one batched back substitution, ``_serre_block``,
+    and the identity is added to its diagonal.  An (n+1) x (n+1) matrix has
+    a vanishing (n+1)-th power iff it is nilpotent, iff its 2^k-th power
+    vanishes for 2^k >= n+1; so kappa + 1 is squared k = ceil(log2(n+1))
+    times and tested for zero, in exact integers.  Grams are drawn
+    ``_BLOCK`` at a time and each matrix entry is held as a list over the
+    block, so one ``map`` over two entry lists serves the whole block.
+    Results come back in input order.  Raises ValueError unless all grams
+    are k x k for one k.
     """
     grams = iter(grams)
     out: list[bool] = []
@@ -175,14 +186,18 @@ def unipotent_grams(grams: Iterable[IntMatrix]) -> list[bool]:
         sizes.update(map(len, block), map(len, chain.from_iterable(block)))
         if len(sizes) > 1:
             raise ValueError("gram matrices must all be k x k")
-        n1 = len(block[0])
-        # (kappa + 1)^0 of a 0 x 0 gram is the empty matrix, which is zero
-        out += _unipotent_block(block, n1) if n1 else [True] * len(block)
+        x = _serre_block(block)
+        for i, row in enumerate(x):
+            row[i] = [v + 1 for v in row[i]]
+        for _ in range((len(x) - 1).bit_length()):
+            x = _block_mul(x, x)
+        # 0 x 0 grams have no entries; (kappa + 1)^0 is then the empty matrix, which is zero
+        out += [not any(e) for e in zip(*chain.from_iterable(x))] or [True] * len(block)
     return out
 
 
 def is_minus_kappa_unipotent(c: NumericalCollection) -> bool:
-    """True iff (kappa + 1)^(n+1) vanishes, with kappa + 1 = G^-1 (G + G^T)."""
+    """True iff (kappa + 1)^(n+1) vanishes, by ``unipotent_grams`` on a block of one."""
     return unipotent_grams([c.gram])[0]
 
 
@@ -210,15 +225,13 @@ def to_json_text(c: NumericalCollection) -> str:
         return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-def _int_matrix(raw, size: int, what: str) -> IntMatrix:
-    """A size x size JSON array of integers; floats and bools are rejected."""
+def _square_array(raw, size: int, what: str) -> list:
+    """Check that a JSON value is a size x size array of arrays."""
     if not isinstance(raw, list) or any(not isinstance(row, list) for row in raw):
         raise ValueError(f"malformed collection file: {what} must be an array of arrays")
     if len(raw) != size or any(len(row) != size for row in raw):
         raise ValueError(f"{what} matrix must be {size}x{size} for n={size - 1}")
-    if any(type(x) is not int for row in raw for x in row):
-        raise ValueError(f"{what} entries must be integers")
-    return _matrix.freeze(raw)
+    return raw
 
 
 def from_json_text(text: str) -> NumericalCollection:
@@ -239,14 +252,13 @@ def from_json_text(text: str) -> NumericalCollection:
     n, raw_gram, raw_classes = payload["n"], payload["gram"], payload["classes"]
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    c = from_gram(_int_matrix(raw_gram, n + 1, "gram"))
+    c = from_gram(_square_array(raw_gram, n + 1, "gram"))
     if raw_classes == "identity":
         return c
-    classes = _int_matrix(raw_classes, n + 1, "classes")
-    try:
-        _matrix.check_unimodular(_matrix.determinant(classes))
-    except ValueError as exc:
-        raise ValueError(f"classes {exc}") from exc
+    classes = _int_entries(_square_array(raw_classes, n + 1, "classes"), "classes")
+    det = _matrix.determinant(classes)
+    if det not in (1, -1):
+        raise ValueError("classes matrix is " + ("not unimodular" if det else "singular"))
     return NumericalCollection(c.gram, classes)
 
 

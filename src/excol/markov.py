@@ -97,10 +97,11 @@ def eval_eq2(t: SixTuple, variant: str = "corrected") -> int:
 def unipotency_oracle(t: SixTuple) -> bool:
     """Ground truth: rebuild the Gram matrix G and test (kappa+1)^4 = 0.
 
-    A one-tuple call of ``collection.unipotent_grams``: kappa + 1 =
-    G^-1 (G + G^T) comes from one back substitution and its fourth power
-    is tested for zero; no collection is built.  Many tuples are cheaper
-    through ``unipotency_oracles``.
+    A one-tuple call of ``collection.unipotent_grams``: kappa = G^-1 G^T
+    comes from the one batched back substitution, the identity is added
+    to it and the fourth power of kappa + 1 is tested for zero; no
+    collection is built.  Many tuples are cheaper through
+    ``unipotency_oracles``.
     """
     return unipotent_grams([tuple_gram(t)])[0]
 

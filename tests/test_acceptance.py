@@ -14,7 +14,14 @@ import sympy
 
 from excol import _matrix
 from excol.braid import BraidWord, center_word, delta_word, is_trivial, normal_form, parse_word
-from excol.collection import apply_word, conserves_pairing, from_gram, left_mutation, right_mutation
+from excol.collection import (
+    apply_word,
+    conserves_pairing,
+    from_gram,
+    left_mutation,
+    right_mutation,
+    serre_matrix,
+)
 from excol.markov import (
     MUTATION_LETTERS,
     SEED_BEILINSON,
@@ -111,7 +118,7 @@ def test_criterion_4_serre_matrix():
     failures = []
     for n in range(1, 5):
         gram = beilinson_collection(n).gram
-        kappa = _matrix.unitriangular_solve(gram, _matrix.transpose(gram))
+        kappa = serre_matrix(beilinson_collection(n))
         if sympy.Matrix(kappa) != sympy.Matrix(gram).inv() * sympy.Matrix(gram).T:
             failures.append(f"back substitution differs from the inverse at n={n}")
         expected = (-1) ** n * sympy.Matrix(twist_matrix(n)) ** -(n + 1)

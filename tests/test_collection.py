@@ -68,6 +68,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             from_gram([[1, 1], [1, 1]])
 
+    @pytest.mark.parametrize("gram", [
+        [[1, 2.5], [0, 1]],
+        [[1.0, 2], [0, 1]],
+        [[True, 2], [0, 1]],
+        [[1, 2], [False, 1]],
+        [[1, sympy.Integer(2)], [0, 1]],
+    ])
+    def test_rejects_inexact_entries(self, gram):
+        with pytest.raises(ValueError, match="^gram entries must be integers$"):
+            from_gram(gram)
+
     def test_collection_is_gram_and_classes(self):
         assert NumericalCollection._fields == ("gram", "classes")
         c = beilinson_collection(3)
@@ -356,6 +367,17 @@ class TestFileFormat:
     def test_rejects_floats_and_bools(self, text):
         with pytest.raises(ValueError, match="integer"):
             from_json_text(text)
+
+    @pytest.mark.parametrize("gram, classes, message", [
+        ("[[1,2.5],[0,1]]", '"identity"', "gram entries must be integers"),
+        ("[[true,2],[0,1]]", '"identity"', "gram entries must be integers"),
+        ("[[1,2],[0,1]]", "[[1,0],[false,1]]", "classes entries must be integers"),
+        ("[[1,2],[0,1]]", "[[1,0.0],[0,1]]", "classes entries must be integers"),
+    ])
+    def test_inexact_entries_name_the_matrix(self, gram, classes, message):
+        with pytest.raises(ValueError) as info:
+            from_json_text(f'{{"n":1,"gram":{gram},"classes":{classes}}}')
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("classes, message", [
         ("[[2,0],[0,1]]", "classes matrix is not unimodular"),

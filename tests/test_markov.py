@@ -251,6 +251,10 @@ class TestUnipotentGrams:
         assert unipotent_grams([]) == []
         assert unipotency_oracles([]) == []
 
+    def test_zero_by_zero_grams(self):
+        # (kappa + 1)^0 of a 0 x 0 gram is the empty matrix, which is zero
+        assert unipotent_grams([()] * 300) == [True] * 300
+
     @pytest.mark.parametrize("grams", [
         [_matrix.identity(3), _matrix.identity(4)],
         [_matrix.identity(4), _matrix.identity(3)],

@@ -5,7 +5,7 @@ import sympy
 
 from excol import _matrix
 from excol.braid import BraidWord
-from excol.collection import apply_word
+from excol.collection import apply_word, from_gram, from_json_text, serre_matrix
 from excol.pn import beilinson_collection
 
 
@@ -21,6 +21,13 @@ def random_unimodular(rng, n, steps=12):
             m[i], m[j] = m[j], m[i]
             m[i] = [-x for x in m[i]] if rng.random() < 0.5 else m[i]
     return _matrix.freeze(m)
+
+
+def classes_file(classes):
+    """A collection file holding an identity gram and the given classes."""
+    n1 = len(classes)
+    gram = [list(row) for row in _matrix.identity(n1)]
+    return f'{{"n":{n1 - 1},"gram":{gram},"classes":{[list(row) for row in classes]}}}'
 
 
 def random_singular(rng, n):
@@ -52,13 +59,19 @@ class TestBareiss:
             a = random_singular(rng, rng.randint(2, 6))
             assert sympy.Matrix(a).det() == 0
             assert _matrix.determinant(a) == 0
-            with pytest.raises(ValueError, match="matrix is singular"):
-                _matrix.check_unimodular(_matrix.determinant(a))
+            with pytest.raises(ValueError, match="^classes matrix is singular$"):
+                from_json_text(classes_file(a))
 
     @pytest.mark.parametrize("a", [((2, 0), (0, 1)), ((1, 2), (3, 4)), ((3,),)])
     def test_not_unimodular(self, a):
-        with pytest.raises(ValueError, match="matrix is not unimodular"):
-            _matrix.check_unimodular(_matrix.determinant(a))
+        with pytest.raises(ValueError, match="^classes matrix is not unimodular$"):
+            from_json_text(classes_file(a))
+
+    def test_unimodular_classes_load(self):
+        rng = random.Random(46)
+        for _ in range(50):
+            a = random_unimodular(rng, rng.randint(1, 6))
+            assert from_json_text(classes_file(a)).classes == a
 
     def test_empty_matrix(self):
         assert _matrix.determinant(()) == 1
@@ -86,33 +99,33 @@ def random_matrix(rng, rows, cols, bits):
 
 
 class TestUnitriangularSolve:
-    @pytest.mark.parametrize("bits", [3, 1200])
+    """The one back substitution, kappa = G^-1 G^T, through ``serre_matrix``."""
+
+    @pytest.mark.parametrize("bits", [3, 20, 1200])
     def test_matches_sympy(self, bits):
+        # sizes 0-8; 20 bits bounds the entries by about +-10^6
         rng = random.Random(43 + bits)
         for _ in range(120):
-            n = rng.randint(1, 8)
-            a = random_unitriangular(rng, n, bits)
-            b = random_matrix(rng, n, rng.randint(1, 8), bits)
-            x = _matrix.unitriangular_solve(a, b)
-            assert sympy.Matrix(x) == sympy.Matrix(a).inv() * sympy.Matrix(b)
-            assert all(type(v) is int for row in x for v in row)
+            g = random_unitriangular(rng, rng.randint(0, 8), bits)
+            kappa = serre_matrix(from_gram(g))
+            assert sympy.Matrix(kappa) == sympy.Matrix(g).inv() * sympy.Matrix(g).T
+            assert all(type(v) is int for row in kappa for v in row)
 
     def test_sparse_multipliers(self):
-        # zero multipliers are skipped; the solution is still exact
-        a = ((1, 0, 0, 5), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        b = ((1, 2), (3, 4), (5, 6), (7, 8))
-        assert _matrix.unitriangular_solve(a, b) == ((-34, -38), (3, 4), (5, 6), (7, 8))
+        # a gram with one nonzero entry off the diagonal: kappa by hand
+        g = ((1, 0, 0, 5), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        assert serre_matrix(from_gram(g)) == (
+            (-24, 0, 0, -5), (0, 1, 0, 0), (0, 0, 1, 0), (5, 0, 0, 1)
+        )
 
-    def test_inverse_is_solve_against_identity(self):
+    def test_gram_times_kappa_is_transpose(self):
         rng = random.Random(44)
         for _ in range(100):
-            a = random_unitriangular(rng, rng.randint(1, 9), 4)
-            inv = _matrix.unitriangular_solve(a, _matrix.identity(len(a)))
-            assert _matrix.mat_mul(a, inv) == _matrix.identity(len(a))
-            assert sympy.Matrix(inv) == sympy.Matrix(a).inv()
+            g = random_unitriangular(rng, rng.randint(1, 9), 4)
+            assert _matrix.mat_mul(g, serre_matrix(from_gram(g))) == _matrix.transpose(g)
 
     def test_empty(self):
-        assert _matrix.unitriangular_solve((), ()) == ()
+        assert serre_matrix(from_gram(())) == ()
 
 
 def test_mat_pow_rejects_negative_powers():

@@ -139,3 +139,9 @@ def test_validation_still_runs_at_construction():
         GWord(("x",))
     with pytest.raises(ValueError, match="^factors are not left weighted$"):
         GarsideForm(4, 0, ((1, 0, 2, 3), (0, 1, 3, 2)))
+    for factor in ((1, 0), (0, 1, 2, 7), (0, 0, 1, 2)):
+        with pytest.raises(ValueError, match=r"^factor .* is not a permutation of 4 strands$"):
+            GarsideForm(4, 0, (factor,))
+    for letter in ((0.0, 1), (0, True), (0, 1.0), (False, 1)):
+        with pytest.raises(ValueError, match=r"^letter .* must be a pair of ints$"):
+            BraidWord(4, (letter,))
