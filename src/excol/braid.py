@@ -104,9 +104,7 @@ def _left_weighted_pair(x: Perm, y: Perm) -> tuple[Perm, Perm]:
     matter.
     """
     n = len(x)
-    xi = [0] * n
-    for k, v in enumerate(x):
-        xi[v] = k
+    xi = list(_inv(x))
     ys = list(y)
     moved = False
     i = 0
@@ -121,10 +119,7 @@ def _left_weighted_pair(x: Perm, y: Perm) -> tuple[Perm, Perm]:
             i += 1
     if not moved:
         return x, y
-    nx = [0] * n
-    for k, v in enumerate(xi):
-        nx[v] = k
-    return tuple(nx), tuple(ys)
+    return _inv(xi), tuple(ys)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +138,16 @@ class BraidWord(Value):
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError(f"strand count must be positive, got {self.strands}")
-        for i, e in self.letters:
+        if type(self.letters) is not tuple:
+            raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
+        top = self.strands - 1
+        for let in self.letters:
+            if type(let) is not tuple:
+                raise ValueError(f"letters must hold tuples, got {let!r}")
+            i, e = let
             if type(i) is not int or type(e) is not int:
-                raise ValueError(f"letter {(i, e)!r} must be a pair of ints")
-            if not 0 <= i < self.strands - 1:
+                raise ValueError(f"letter {let!r} must be a pair of ints")
+            if not 0 <= i < top:
                 raise WordSyntaxError(
                     f"generator index {i} out of range for {self.strands} strands"
                 )
@@ -244,7 +245,11 @@ class GarsideForm(Value):
     def __post_init__(self):
         w0 = _w0(self.strands)
         e = _identity_perm(self.strands)
+        if type(self.factors) is not tuple:
+            raise ValueError(f"factors must be a tuple, got {type(self.factors).__name__}")
         for f in self.factors:
+            if type(f) is not tuple:
+                raise ValueError(f"factors must hold tuples, got {f!r}")
             if tuple(sorted(f)) != e:
                 raise ValueError(f"factor {f!r} is not a permutation of {self.strands} strands")
             if f == e or f == w0:

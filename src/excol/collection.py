@@ -4,25 +4,27 @@ A collection of n+1 objects is stored through the Gram matrix of the
 Euler form chi in the collection basis together with the unimodular
 integer matrix whose column j expresses the class of the j-th object in
 a fixed ambient basis of the K group.  A mutation of the pair
-(E_i, E_{i+1}) is a unimodular operation on two columns: with
-a = chi(E_i, E_{i+1}) a left mutation sends each entry pair (x, y) at
-slots (i, i+1) to (a*x - y, x) and a right mutation sends it to
-(y, a*y - x).  The classes take this map on their column pair; the
-Gram matrix transforms by congruence, the same map on its column pair
-and then on its row pair.  One step therefore costs O(n) entry updates.
-All arithmetic is arbitrary-precision integer.
+(E_i, E_{i+1}) is a unimodular operation on two columns, and one rule
+serves both sides.  Let a = chi(E_i, E_{i+1}) and name the slots
+(p, q) = (i, i+1) for a left mutation, (i+1, i) for a right one: the
+rule sends the entries (x_p, x_q) to (a*x_p - x_q, x_p).  The classes
+take it on their column pair; the Gram matrix transforms by congruence,
+the rule on its column pair and then on its row pair.  One step
+therefore costs O(n) entry updates.  All arithmetic is
+arbitrary-precision integer.
 """
 
 from __future__ import annotations
 
 import json
+from functools import reduce
 from itertools import chain, islice
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _matrix
 from ._matrix import IntMatrix
-from .braid import BraidWord
+from .braid import BraidWord, Letter
 
 
 class NumericalCollection(NamedTuple):
@@ -69,31 +71,30 @@ def from_gram(gram) -> NumericalCollection:
     return NumericalCollection(g, _matrix.identity(len(g)))
 
 
-def _rank2(gram: IntMatrix, classes: IntMatrix, i: int, side: int) -> tuple[IntMatrix, IntMatrix]:
-    """The rank-2 update of the module docstring on the pair (i, i+1).
+def _rank2(pair: tuple[IntMatrix, IntMatrix], letter: Letter) -> tuple[IntMatrix, IntMatrix]:
+    """One letter (i, side) on a (gram, classes) pair, by the rule of the module docstring.
 
-    side=+1 is a left mutation, -1 a right one; the index is not checked.
+    Side +1, a left mutation, takes slots (p, q) = (i, i+1); side -1, a
+    right one, takes (i+1, i).  Every row of both matrices takes the rule
+    at (p, q), then so do the Gram rows: row p becomes a*row_p - row_q
+    and row q becomes row_p.  A ``NumericalCollection`` is such a pair.
+    The index is not checked.
     """
-    j = i + 1
-    a = gram[i][j]
-    if side == 1:
-        g = tuple(row[:i] + (a * row[i] - row[j], row[i]) + row[j + 1:] for row in gram)
-        gi = g[i]
-        rows = (tuple([a * x - y for x, y in zip(gi, g[j])]), gi)
-        cls = tuple(row[:i] + (a * row[i] - row[j], row[i]) + row[j + 1:] for row in classes)
-    else:
-        g = tuple(row[:i] + (row[j], a * row[j] - row[i]) + row[j + 1:] for row in gram)
-        gj = g[j]
-        rows = (gj, tuple([a * y - x for x, y in zip(g[i], gj)]))
-        cls = tuple(row[:i] + (row[j], a * row[j] - row[i]) + row[j + 1:] for row in classes)
-    return g[:i] + rows + g[j + 1:], cls
+    i, side = letter
+    p, q = (i, i + 1) if side == 1 else (i + 1, i)
+    a = pair[0][i][i + 1]
+    gram, classes = [[list(row) for row in m] for m in pair]
+    for row in gram + classes:
+        row[p], row[q] = a * row[p] - row[q], row[p]
+    gram[p], gram[q] = [a * x - y for x, y in zip(gram[p], gram[q])], gram[p]
+    return tuple(map(tuple, gram)), tuple(map(tuple, classes))
 
 
 def _mutate(c: NumericalCollection, i: int, side: int) -> NumericalCollection:
     """Mutate the pair (i, i+1); side=+1 left, -1 right."""
     if not 0 <= i <= c.n - 1:
         raise IndexError(f"mutation index {i} out of range for n={c.n}")
-    return NumericalCollection(*_rank2(c.gram, c.classes, i, side))
+    return NumericalCollection(*_rank2(c, (i, side)))
 
 
 def left_mutation(c: NumericalCollection, i: int) -> NumericalCollection:
@@ -112,10 +113,8 @@ def apply_word(c: NumericalCollection, w: BraidWord) -> NumericalCollection:
         raise ValueError(
             f"word on {w.strands} strands cannot act on a collection of {c.strands} objects"
         )
-    gram, classes = c.gram, c.classes
-    for i, e in reversed(w.letters):  # indices were checked when w was built
-        gram, classes = _rank2(gram, classes, i, e)
-    return NumericalCollection(gram, classes)
+    # indices were checked when w was built
+    return NumericalCollection(*reduce(_rank2, reversed(w.letters), c))
 
 
 def _serre_block(block: Sequence[IntMatrix]) -> list:

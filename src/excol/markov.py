@@ -138,6 +138,8 @@ class GWord(Value):
         self.__post_init__()
 
     def __post_init__(self):
+        if type(self.letters) is not tuple:
+            raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
         for let in self.letters:
             if let not in G_LETTERS:
                 raise ValueError(f"unknown group letter {let!r}")
@@ -205,21 +207,22 @@ OrbitSeed = Union[SixTuple, NumericalCollection]
 def orbit(seed: OrbitSeed, depth: int, cap: int = 100_000) -> dict:
     """Breadth-first closure of a seed under its generating letters.
 
-    Collections expand under their mutation letters, stepped as bare
-    (gram, classes) pairs through the rank-2 kernel ``collection._rank2``,
-    and tuples under the four group letters.  A pair hashes and compares
-    like the collection holding it, so only a new member becomes a
-    ``NumericalCollection``.  Returns an insertion-ordered mapping from
-    each distinct element to the depth at which it first appeared; raises
-    CapExceededError (with the partial mapping attached) past ``cap``.
+    Each seed type has one step, ``step(element, letter)``: collections
+    expand under their mutation letters through the rank-2 kernel
+    ``collection._rank2``, which returns a bare (gram, classes) pair, and
+    tuples under the four group letters through ``apply_g``.  A pair
+    hashes and compares like the collection holding it, so only a new
+    member becomes a ``NumericalCollection``.  Returns an
+    insertion-ordered mapping from each distinct element to the depth at
+    which it first appeared; raises CapExceededError (with the partial
+    mapping attached) past ``cap``.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if isinstance(seed, SixTuple):
         letters, step, member = G_LETTERS, apply_g, SixTuple._make
     elif isinstance(seed, NumericalCollection):
-        letters, member = _letters_for(seed.n), NumericalCollection._make
-        step = lambda pair, letter: _rank2(*pair, *letter)
+        letters, step, member = _letters_for(seed.n), _rank2, NumericalCollection._make
     else:
         raise TypeError(f"cannot enumerate an orbit of {type(seed).__name__}")
 
@@ -250,9 +253,9 @@ def stabilizer_scan(
     """All freely reduced words up to ``max_len`` fixing (gram, classes).
 
     Meets in the middle, one length m at a time: the freely reduced
-    sequences of k = ceil(m/2) mutation letters are applied through the
-    rank-2 kernel ``collection._rank2`` on bare (gram, classes) pairs,
-    and those of j = floor(m/2) letters are indexed by the pair they
+    sequences of k = ceil(m/2) mutation letters are applied one at a
+    time by the rank-2 kernel, ``collection._rank2(pair, letter)`` on
+    bare (gram, classes) pairs, and those of j = floor(m/2) letters are indexed by the pair they
     reach.  A word whose applied letters are y then v, with len(y) = k,
     fixes the pair exactly when y reaches the same pair as the sequence u
     of the inverses of v's letters, applied in reverse; the word is
@@ -313,7 +316,7 @@ def stabilizer_scan(
                 for code in range(a)
                 if code != last ^ 1
             ])
-            pairs = [_rank2(*pairs[p], *alphabet[code]) for p, code in steps[-1]]
+            pairs = [_rank2(pairs[p], alphabet[code]) for p, code in steps[-1]]
         spellings = []
         for pos, (pair, (_, last)) in enumerate(zip(pairs, steps[k])):
             # the seam is freely reduced when the last applied codes differ

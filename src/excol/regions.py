@@ -47,11 +47,15 @@ class DegreeMatrix(Value):
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("degree matrix needs at least one object")
+        if type(self.entries) is not tuple:
+            raise ValueError(f"entries must be a tuple, got {type(self.entries).__name__}")
         if len(self.entries) != self.n + 1 or any(
             len(row) != self.n + 1 for row in self.entries
         ):
             raise ValueError("degree matrix has wrong shape")
         for row in self.entries:
+            if type(row) is not tuple:
+                raise ValueError(f"entries must hold tuples, got {row!r}")
             for x in row:
                 if not (type(x) is int or (type(x) is float and x == inf)):
                     raise ValueError(f"degree matrix entries must be ints or math.inf, got {x!r}")
@@ -194,39 +198,15 @@ def thm51_systems() -> tuple[InequalitySystem, InequalitySystem, InequalitySyste
     triangle, phi_1 - 1 < psi < phi_0 + 1.
     """
     strong = DegreeMatrix.all_zero(3)
-    strong4 = _region_rows(strong, 4)
-    left = InequalitySystem(
-        4,
-        strong4
-        + [
-            _pair_row(4, 0, 2, -2),
-            _pair_row(4, 1, 2, -1),
-            _pair_row(4, 1, 0, 1),
-            _pair_row(4, 3, 2, 1),
-        ],
-    )
-    right = InequalitySystem(
-        4,
-        strong4
-        + [
-            _pair_row(4, 1, 3, -2),
-            _pair_row(4, 1, 2, -1),
-            _pair_row(4, 1, 0, 1),
-            _pair_row(4, 3, 2, 1),
-        ],
-    )
-    strong5 = _region_rows(strong, 5)
-    overlap = InequalitySystem(
-        5,
-        strong5
-        + [
-            _pair_row(5, 1, 0, 1),
-            _pair_row(5, 3, 2, 1),
-            _pair_row(5, 4, 2, -2),
-            _pair_row(5, 1, 4, 1),
-            _pair_row(5, 4, 0, 1),
-        ],
-    )
+
+    def system(dim: int, pairs) -> InequalitySystem:
+        """The strong rows over ``dim`` phases, then phi_i - phi_j < b per (i, j, b)."""
+        rows = _region_rows(strong, dim) + [_pair_row(dim, *p) for p in pairs]
+        return InequalitySystem(dim, rows)
+
+    left = system(4, [(0, 2, -2), (1, 2, -1), (1, 0, 1), (3, 2, 1)])
+    right = system(4, [(1, 3, -2), (1, 2, -1), (1, 0, 1), (3, 2, 1)])
+    overlap = system(5, [(1, 0, 1), (3, 2, 1), (4, 2, -2), (1, 4, 1), (4, 0, 1)])
     return left, right, overlap
 
 

@@ -137,14 +137,16 @@ class TestMutationFormulas:
 
     def test_rank2_kernel_matches_dense_reference(self):
         rng = random.Random(14)
-        for _ in range(300):
-            size = rng.randint(2, 7)
-            c = from_gram(random_unitriangular(rng, size))
-            for _ in range(rng.randint(1, 8)):
-                i, side = rng.randrange(size - 1), rng.choice((1, -1))
-                gram, classes = dense_mutation(c, i, side)
-                c = _mutate(c, i, side)
-                assert (c.gram, c.classes) == (gram, classes)
+        for bound in (9, 2 ** 64):
+            for _ in range(300):
+                size = rng.randint(2, 8)
+                c = from_gram(random_unitriangular(rng, size, -bound, bound))
+                for _ in range(rng.randint(1, 8)):
+                    i, side = rng.randrange(size - 1), rng.choice((1, -1))
+                    stepped = _mutate(c, i, side)
+                    assert (stepped.gram, stepped.classes) == dense_mutation(c, i, side)
+                    assert apply_word(c, BraidWord(size, ((i, side),))) == stepped
+                    c = stepped
 
 
 class TestLongWords:

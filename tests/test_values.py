@@ -145,3 +145,19 @@ def test_validation_still_runs_at_construction():
     for letter in ((0.0, 1), (0, True), (0, 1.0), (False, 1)):
         with pytest.raises(ValueError, match=r"^letter .* must be a pair of ints$"):
             BraidWord(4, (letter,))
+    for index in (-1, 3):
+        with pytest.raises(ValueError, match=f"^generator index {index} out of range for 4 strands$"):
+            BraidWord(4, ((index, 1),))
+    # list fields cannot be hashed or compared; each is refused by field name
+    for make, message in (
+        (lambda: BraidWord(4, [(0, 1)]), "letters must be a tuple, got list"),
+        (lambda: BraidWord(4, ([0, 1],)), r"letters must hold tuples, got \[0, 1\]"),
+        (lambda: GarsideForm(4, 0, [(1, 0, 2, 3)]), "factors must be a tuple, got list"),
+        (lambda: GarsideForm(4, 0, ([1, 0, 2, 3],)),
+         r"factors must hold tuples, got \[1, 0, 2, 3\]"),
+        (lambda: GWord(["v"]), "letters must be a tuple, got list"),
+        (lambda: DegreeMatrix(1, [(0, 0), (0, 0)]), "entries must be a tuple, got list"),
+        (lambda: DegreeMatrix(1, ([0, 0], [0, 0])), r"entries must hold tuples, got \[0, 0\]"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
