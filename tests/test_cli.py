@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import threading
+import time
 
 import pytest
 
@@ -23,6 +26,36 @@ def run(capsys, argv):
     status = main(argv)
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def force_cpus(monkeypatch, cpus):
+    """Make ``run_suite("all")`` see ``cpus`` usable CPUs; return the pids it forks."""
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(suites.os, "fork", counting_fork)
+    return forked
+
+
+@pytest.fixture(scope="module")
+def all_checks():
+    """What ``run_suite("all", 0)`` returns: every suite's checks, labelled, in order."""
+    return [
+        suites.Check(f"{name}: {c.name}", c.expected, c.actual, c.passed)
+        for name, suite in suites.SUITES.items()
+        for c in suite(0)
+    ]
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_option_defaults():
@@ -219,6 +252,88 @@ class TestVerify:
         _, out1, _ = run(capsys, ["verify", "braid", "--seed", "7"])
         _, out2, _ = run(capsys, ["verify", "braid", "--seed", "7"])
         assert out1 == out2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_all_same_serial_and_forked(self, seed, fmt, capsys, monkeypatch):
+        argv = ["verify", "all", "--seed", seed, "--format", fmt]
+        serial = force_cpus(monkeypatch, 1)
+        expected = run(capsys, argv)
+        assert (expected[0], serial) == (0, [])
+        forked = force_cpus(monkeypatch, 2)
+        assert run(capsys, argv) == expected
+        assert len(forked) == 1
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_all_is_every_suite_labelled_in_order(self, cpus, all_checks, monkeypatch):
+        forked = force_cpus(monkeypatch, cpus)
+        assert suites.run_suite("all", 0) == all_checks
+        assert len(forked) == cpus - 1
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_all_raises_a_suite_error_as_serial(self, cpus, capsys, monkeypatch):
+        def boom(seed):
+            raise ValueError("boom")
+
+        force_cpus(monkeypatch, cpus)
+        monkeypatch.setitem(suites.SUITES, "mutation", boom)
+        with pytest.raises(ValueError, match="^boom$"):
+            suites.run_suite("all", 0)
+        assert_no_children()
+        assert run(capsys, ["verify", "all"]) == (2, "", "error: boom\n")
+        assert_no_children()
+
+    def test_all_reruns_the_share_of_a_failed_child(self, all_checks, monkeypatch):
+        parent, mutation_suite = os.getpid(), suites.SUITES["mutation"]
+
+        def dies_in_child(seed):
+            if os.getpid() != parent:
+                os._exit(3)
+            return mutation_suite(seed)
+
+        forked = force_cpus(monkeypatch, 2)
+        monkeypatch.setitem(suites.SUITES, "mutation", dies_in_child)
+        assert suites.run_suite("all", 0) == all_checks
+        assert len(forked) == 1
+        assert_no_children()
+
+    def test_all_runs_an_unforked_share_here(self, all_checks, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("no processes left")
+
+        force_cpus(monkeypatch, 3)
+        monkeypatch.setattr(suites.os, "fork", no_fork)
+        assert suites.run_suite("all", 0) == all_checks
+        assert_no_children()
+
+    def test_all_does_not_fork_a_threaded_process(self, all_checks, monkeypatch):
+        forked = force_cpus(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert suites.run_suite("all", 0) == all_checks
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forked == []
+
+    def test_all_kills_children_when_interrupted(self, monkeypatch):
+        def interrupted(seed):
+            raise KeyboardInterrupt
+
+        forked = force_cpus(monkeypatch, 2)
+        monkeypatch.setitem(suites.SUITES, "mutation", lambda seed: time.sleep(60))
+        monkeypatch.setitem(suites.SUITES, "braid", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            suites.run_suite("all", 0)
+        assert time.monotonic() - start < 30
+        assert len(forked) == 1
+        assert_no_children()
 
 
 class TestOrbit:
