@@ -3,7 +3,7 @@
 Subcommands: mutate, verify, orbit, stabilizer, region, braid nf,
 pn gram.  All numeric output is exact; rationals print as p/q.  Exit
 codes: 0 success, 1 check failure or exceeded cap, 2 usage or parse
-errors.
+errors or an interrupt.
 """
 
 from __future__ import annotations
@@ -273,6 +273,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 2
 
 

@@ -170,6 +170,13 @@ def region_system(d: DegreeMatrix) -> InequalitySystem:
     return InequalitySystem(d.n + 1, _region_rows(d, d.n + 1))
 
 
+def _strong_system(dim: int, pairs) -> InequalitySystem:
+    """The strong rows of 4 objects over ``dim`` phases, then
+    phi_i - phi_j < b per (i, j, b)."""
+    rows = _region_rows(DegreeMatrix.all_zero(3), dim) + [_pair_row(dim, *p) for p in pairs]
+    return InequalitySystem(dim, rows)
+
+
 def lemma41_system(kidx: int) -> InequalitySystem:
     """Phases common to a strong 4-object collection and its k-th right mutation.
 
@@ -177,14 +184,10 @@ def lemma41_system(kidx: int) -> InequalitySystem:
     object stays one shift away, phi_{k+1} < phi_k + 1, and (iii)
     phi_{k+1} < phi_{k+i} - (i-1) for i >= 2.
     """
-    n = 3
-    if not 0 <= kidx <= n - 1:
-        raise IndexError(f"mutation index {kidx} out of range for n={n}")
-    rows = _region_rows(DegreeMatrix.all_zero(n), n + 1)
-    rows.append(_pair_row(n + 1, kidx + 1, kidx, 1))
-    for i in range(2, n - kidx + 1):
-        rows.append(_pair_row(n + 1, kidx + 1, kidx + i, -(i - 1)))
-    return InequalitySystem(n + 1, rows)
+    if not 0 <= kidx <= 2:
+        raise IndexError(f"mutation index {kidx} out of range for n=3")
+    shifts = [(kidx + 1, kidx + i, 1 - i) for i in range(2, 4 - kidx)]
+    return _strong_system(4, [(kidx + 1, kidx, 1)] + shifts)
 
 
 def thm51_systems() -> tuple[InequalitySystem, InequalitySystem, InequalitySystem]:
@@ -197,16 +200,9 @@ def thm51_systems() -> tuple[InequalitySystem, InequalitySystem, InequalitySyste
     fifth variable pinned between its neighbours by the defining
     triangle, phi_1 - 1 < psi < phi_0 + 1.
     """
-    strong = DegreeMatrix.all_zero(3)
-
-    def system(dim: int, pairs) -> InequalitySystem:
-        """The strong rows over ``dim`` phases, then phi_i - phi_j < b per (i, j, b)."""
-        rows = _region_rows(strong, dim) + [_pair_row(dim, *p) for p in pairs]
-        return InequalitySystem(dim, rows)
-
-    left = system(4, [(0, 2, -2), (1, 2, -1), (1, 0, 1), (3, 2, 1)])
-    right = system(4, [(1, 3, -2), (1, 2, -1), (1, 0, 1), (3, 2, 1)])
-    overlap = system(5, [(1, 0, 1), (3, 2, 1), (4, 2, -2), (1, 4, 1), (4, 0, 1)])
+    left = _strong_system(4, [(0, 2, -2), (1, 2, -1), (1, 0, 1), (3, 2, 1)])
+    right = _strong_system(4, [(1, 3, -2), (1, 2, -1), (1, 0, 1), (3, 2, 1)])
+    overlap = _strong_system(5, [(1, 0, 1), (3, 2, 1), (4, 2, -2), (1, 4, 1), (4, 0, 1)])
     return left, right, overlap
 
 

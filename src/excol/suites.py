@@ -4,13 +4,13 @@ Each suite replays the invariants of one module as a list of named
 checks with expected and actual values.  Randomized checks draw from an
 explicitly seeded generator so reports are reproducible.
 
-The suites are independent, so ``run_suite("all")`` runs them on every
-CPU this process may use: it deals them round-robin into one share per
-CPU (at most one per suite), runs the first share itself and each other
-share in a forked child, and returns the checks in ``SUITES`` order, the
-same list the one-after-another run gives.  It runs them one after
-another on one usable CPU, without ``os.fork``, or when the process
-already runs more than one thread.
+The suites are independent, so ``run_suite`` deals the ones it runs
+(one, or every suite for ``"all"``) round-robin into one share per CPU
+this process may use, at most one per suite, and into one share without
+``os.fork`` or when the process already runs more than one thread.  It
+runs the first share itself and each other share in a forked child, so
+a single suite forks nothing, and the checks come back in ``SUITES``
+order whatever the number of shares.
 """
 
 from __future__ import annotations
@@ -463,98 +463,75 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_share(names, seed: int) -> dict[str, list[Check]]:
-    """The labelled checks of each named suite."""
-    return {
-        name: [Check(f"{name}: {c.name}", c.expected, c.actual, c.passed)
-               for c in SUITES[name](seed)]
-        for name in names
-    }
-
-
-def _child(share, seed: int, fd: int):
-    """Run ``share`` in a forked child, write its checks to ``fd`` and exit."""
-    status = 1
+def _fork(share, seed: int):
+    """``(pid, read end of its pipe)`` of a child forked to write the checks
+    of the suites in ``share`` there, or None if no process can be forked."""
+    r, w = os.pipe()
     try:
-        rows = {name: [tuple(c) for c in cs] for name, cs in _run_share(share, seed).items()}
-        with open(fd, "wb") as pipe:
-            pipe.write(marshal.dumps(rows))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _run_forked(shares, seed: int) -> dict[str, list[Check]]:
-    """Run ``shares[0]`` here and every other share in a forked child.
-
-    A share that cannot be forked runs here, and a child that exits
-    nonzero or writes a short result has its share run again here, so a
-    suite's error is raised as on the serial path.  On any exception,
-    KeyboardInterrupt included, every child still running is killed and
-    reaped.
-    """
-    here = list(shares[0])
-    children = []  # (pid, read end of its pipe, share) of every unreaped child
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # out of processes: run the share here instead
-                os.close(r)
-                os.close(w)
-                here.extend(share)
-                continue
-            if pid == 0:
-                _child(share, seed, w)
-            os.close(w)
-            children.append((pid, open(r, "rb"), share))
-        by_suite = _run_share(here, seed)
-        while children:
-            pid, pipe, share = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            try:
-                rows = marshal.loads(data) if status == 0 else None
-            except (EOFError, ValueError, TypeError):
-                rows = None
-            if rows is None:
-                by_suite.update(_run_share(share, seed))
-            else:
-                by_suite.update({name: [Check(*row) for row in rows[name]] for name in share})
-        return by_suite
-    finally:
-        if children:
-            import signal  # here, so that importing the CLI does not load it
-
-            for pid, pipe, _ in children:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            rows = [[tuple(c) for c in SUITES[name](seed)] for name in share]
+            with open(w, "wb") as pipe:
+                pipe.write(marshal.dumps(rows))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
 
 
 def run_suite(name: str, seed: int = 0) -> list[Check]:
-    """The checks of suite ``name``, or of every suite for ``"all"``.
+    """The checks of suite ``name``; for ``"all"``, those of every suite
+    labelled with its name, in ``SUITES`` order.
 
-    ``"all"`` runs the suites on min(len(SUITES), usable CPUs) processes
-    and returns the same checks, in the same order, as running them one
-    after another, which it does on one usable CPU, without ``os.fork``
-    or when the process already runs more than one thread.
+    A share whose child could not be forked, exits nonzero or sends a
+    short result runs here, so a suite's error is raised here.  On any
+    exception, KeyboardInterrupt included, every unreaped child is
+    killed and reaped.
     """
-    if name == "all":
-        names = list(SUITES)
-        workers = min(len(names), _usable_cpus())
-        # a child forked from a threaded process can block on a lock that
-        # another thread held at the fork
-        threading = sys.modules.get("threading")
-        if (workers < 2 or not hasattr(os, "fork")
-                or (threading is not None and threading.active_count() > 1)):
-            by_suite = _run_share(names, seed)
-        else:
-            by_suite = _run_forked([names[k::workers] for k in range(workers)], seed)
-        return [c for suite in names for c in by_suite[suite]]
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-    return SUITES[name](seed)
+    names = list(SUITES) if name == "all" else [name]
+    # a child forked from a threaded process can block on a lock that
+    # another thread held at the fork
+    threading = sys.modules.get("threading")
+    threaded = threading is not None and threading.active_count() > 1
+    workers = 1 if threaded or not hasattr(os, "fork") else min(len(names), _usable_cpus())
+    shares = [names[k::workers] for k in range(workers)]
+    children = []  # (pid, pipe) per share after the first; None once reaped or unforked
+    try:
+        for share in shares[1:]:
+            children.append(_fork(share, seed))
+        by_suite = {suite: SUITES[suite](seed) for suite in shares[0]}
+        for k, share in enumerate(shares[1:]):
+            rows = None
+            if children[k] is not None:
+                pid, pipe = children[k]
+                with pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                children[k] = None
+                try:
+                    rows = marshal.loads(data) if status == 0 else None
+                except (EOFError, ValueError, TypeError):
+                    pass
+            if rows is None:
+                rows = [SUITES[suite](seed) for suite in share]
+            by_suite.update(zip(share, rows))
+    finally:
+        if any(children):
+            import signal  # here, so that importing the CLI does not load it
+
+            for pid, pipe in filter(None, children):
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if name != "all":
+        return by_suite[name]
+    return [Check(f"{suite}: {c[0]}", *c[1:]) for suite in names for c in by_suite[suite]]

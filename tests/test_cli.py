@@ -2,8 +2,12 @@ import hashlib
 import json
 import os
 import random
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from excol.cli import main
 from excol.collection import load, to_json_text
 from excol.pn import beilinson_collection
 from excol.regions import InequalitySystem
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -334,6 +340,66 @@ class TestVerify:
         assert time.monotonic() - start < 30
         assert len(forked) == 1
         assert_no_children()
+
+    def test_all_kills_children_when_interrupted_while_waiting(self, monkeypatch):
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        forked = force_cpus(monkeypatch, 2)
+        for name in ("braid", "markov", "pn"):  # the parent's share, done at once
+            monkeypatch.setitem(suites.SUITES, name, lambda seed: [])
+        monkeypatch.setitem(suites.SUITES, "mutation", lambda seed: time.sleep(60))
+        handler = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1)
+            with pytest.raises(KeyboardInterrupt):
+                suites.run_suite("all", 0)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert time.monotonic() - start < 30
+        assert len(forked) == 1
+        assert_no_children()
+
+    @pytest.mark.parametrize("name", list(suites.SUITES))
+    def test_one_suite_forks_nothing(self, name, monkeypatch):
+        forked = force_cpus(monkeypatch, 5)
+        assert suites.run_suite(name, 0) == suites.SUITES[name](0)
+        assert forked == []
+
+
+class TestInterrupt:
+    def test_interrupt_exits_2(self, capsys, monkeypatch):
+        def interrupted(suite, seed):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(suites, "run_suite", interrupted)
+        assert run(capsys, ["verify", "all"]) == (2, "", "error: interrupted\n")
+
+    def test_sigint_ends_in_one_line(self):
+        rng = random.Random(0)
+        word = BraidWord(256, tuple((rng.randrange(255), rng.choice((1, -1)))
+                                    for _ in range(2000)))  # about 25 s to normalize
+        # a shell may start background jobs with SIGINT ignored; restore
+        # the handler that an interactive start gives
+        code = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+                "from excol.cli import main; print('ready', flush=True); "
+                "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "braid", "nf", word.to_text(), "--strands", "256"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            assert proc.stdout.readline() == "ready\n"
+            time.sleep(1)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, out, err) == (2, "", "error: interrupted\n")
 
 
 class TestOrbit:
