@@ -181,14 +181,23 @@ def f_image(w: BraidWord) -> GWord:
     return GWord(tuple(letters))
 
 
-def check_equivariance(c: NumericalCollection, w: BraidWord) -> bool:
-    """Check T(delta(w(c))) == f(w) . T(delta(c)) exactly."""
+_DELTA = delta_word()
+
+
+def check_equivariance(c: NumericalCollection, *words: BraidWord) -> bool:
+    """Check T(delta(w(c))) == f(w) . T(delta(c)) exactly for every word w.
+
+    T(delta(c)) is computed once and serves every word, so one call with
+    several words does the work of one call per word minus the repeated
+    half twist of c.  True when no word is given; raises ValueError
+    unless c has 4 objects, with or without words.
+    """
     if c.n != 3:
         raise ValueError("equivariance is a statement about collections of 4 objects")
-    delta = delta_word()
-    lhs = t_map(apply_word(apply_word(c, w), delta))
-    rhs = f_image(w).apply(t_map(apply_word(c, delta)))
-    return lhs == rhs
+    base = t_map(apply_word(c, _DELTA))
+    return all(
+        t_map(apply_word(apply_word(c, w), _DELTA)) == f_image(w).apply(base) for w in words
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -612,6 +612,28 @@ class TestPinnedExploreOutputs:
         assert out.count("oracle=0") == 12
 
 
+class TestPinnedVerifyOutputs:
+    """sha256 of the stdout of ``verify all``, taken at commit 0f95f2c,
+    where the markov suite checked every drawn tuple and every letter's
+    equivariance separately and the mutation suite ran the oracle on
+    every member of the depth-5 orbit."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["verify", "all", "--seed", "0"],
+         "2435a9306c3c9e0c50e95d09285bd182664d0bd81d5d3ee826d5cf2a4b5982a7"),
+        (["verify", "all", "--seed", "1"],
+         "e3fb8196ddbff3912b9025a1a9f508edf51d8c181223bb8e51622c8686d88deb"),
+        (["verify", "all", "--seed", "0", "--format", "json"],
+         "dbf1b61a7402fd9535e07f5e12d22c6b56cf226f9e725aabb1bee0c27b1caf51"),
+        (["verify", "all", "--seed", "1", "--format", "json"],
+         "e3fa13e3a8b7eab9180fe036e8e069954a08d9e3b668e3919d98f8dbddac79a2"),
+    ])
+    def test_stdout_digest(self, capsys, argv, digest):
+        status, out, err = run(capsys, argv)
+        assert (status, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestRegion:
     def test_lemma41_prints_witness(self, capsys):
         status, out, _ = run(capsys, ["region", "lemma41", "--kidx", "0"])

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 import sympy
 
-from excol import _matrix, collection, markov
+from excol import _matrix, collection, markov, suites
 from excol.braid import BraidWord, is_trivial, parse_word
 from excol.collection import (
     NumericalCollection,
@@ -398,6 +398,8 @@ class TestHomomorphism:
 
 
 class TestEquivariance:
+    LETTERS = tuple(BraidWord(4, (let,)) for let in MUTATION_LETTERS)
+
     def test_single_right_mutation(self):
         assert check_equivariance(beilinson_collection(3), parse_word("R0", 4))
 
@@ -412,6 +414,53 @@ class TestEquivariance:
     def test_wrong_size(self):
         with pytest.raises(ValueError):
             check_equivariance(beilinson_collection(2), BraidWord(3))
+
+    @pytest.mark.parametrize("words", [(), (BraidWord(3), BraidWord(3))])
+    def test_wrong_size_any_number_of_words(self, words):
+        with pytest.raises(ValueError):
+            check_equivariance(beilinson_collection(2), *words)
+
+    def test_no_words(self):
+        assert check_equivariance(beilinson_collection(3)) is True
+
+    def test_words_are_all_one_word_calls_on_depth3_orbit(self):
+        for member in orbit(beilinson_collection(3), 3):
+            assert check_equivariance(member, *self.LETTERS) == all(
+                check_equivariance(member, w) for w in self.LETTERS
+            )
+
+    def test_words_are_all_one_word_calls_on_random_grams(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            c = from_gram(suites.random_unitriangular(rng, 4))
+            words = [suites.random_word(rng, 6) for _ in range(rng.randint(1, 4))]
+            assert check_equivariance(c, *words) == all(
+                check_equivariance(c, w) for w in words
+            )
+
+    def test_one_failing_word_fails_the_call(self, monkeypatch):
+        # the identity holds for every gram, so break f on words of odd
+        # length to see calls in which only some words fail
+        f = markov.f_image
+        monkeypatch.setattr(
+            markov, "f_image", lambda w: f(w) if len(w.letters) % 2 == 0 else GWord((V,))
+        )
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(100):
+            c = from_gram(suites.random_unitriangular(rng, 4))
+            words = [suites.random_word(rng, 6) for _ in range(rng.randint(1, 3))]
+            singles = [check_equivariance(c, w) for w in words]
+            assert check_equivariance(c, *words) == all(singles)
+            outcomes.add((all(singles), any(singles)))
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+    def test_half_twist_of_c_once(self, monkeypatch):
+        calls = []
+        apply = markov.apply_word
+        monkeypatch.setattr(markov, "apply_word", lambda c, w: calls.append(w) or apply(c, w))
+        assert check_equivariance(beilinson_collection(3), *self.LETTERS)
+        assert len(calls) == 1 + 2 * len(self.LETTERS)
 
 
 class TestOrbit:
