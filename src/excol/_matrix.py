@@ -10,6 +10,7 @@ substitution lives with the Gram kernels in ``collection``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import operator
 import sys
 from typing import Sequence
@@ -40,6 +41,7 @@ def freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(row) for row in rows)
 
 
+@functools.lru_cache(maxsize=8)  # immutable, so one copy per size serves every caller
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

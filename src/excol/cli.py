@@ -89,21 +89,30 @@ def cmd_verify(args) -> int:
     return status
 
 
-def _capped_run(enumerate_, seed, bound: int, cap: int, lines) -> int:
-    """Print the lines of an enumeration's result and return 0; past
+def _capped_run(enumerate_, seed, bound: int, cap: int, pieces) -> int:
+    """Write the text pieces of an enumeration's result and return 0; past
     ``cap``, those of the partial result, then one stderr line, and return 1."""
     try:
         result, status = enumerate_(seed, bound, cap=cap), 0
     except CapExceededError as exc:
         result, status = exc.partial, 1
-    for line in lines(result):
-        print(line)
+    for piece in pieces(result):
+        sys.stdout.write(piece)
     if status:
         print(f"cap of {cap} exceeded; output is partial", file=sys.stderr)
     return status
 
 
 def cmd_orbit(args) -> int:
+    """Print one record per orbit member, in BFS order.
+
+    After the BFS, the members are cut into contiguous chunks, one per
+    usable CPU but none of fewer than ``collection._BLOCK`` members, and
+    ``suites.run_shares`` makes each chunk's records: its tuples, their
+    oracle bits, once per distinct tuple, and the record lines.  The
+    chunks' texts are written in order, so the output does not depend on
+    the number of chunks.
+    """
     if (args.tuple is None) == (args.file is None):
         print("orbit needs exactly one of FILE or --tuple", file=sys.stderr)
         return 2
@@ -115,13 +124,23 @@ def cmd_orbit(args) -> int:
             print("orbit records need a collection of 4 objects", file=sys.stderr)
             return 2
 
-    def records(members):
-        tuples = list(members) if args.file is None else list(map(markov.t_map, members))
-        # the oracle runs once per distinct tuple: mutated collections can share one
-        distinct = dict.fromkeys(tuples)
-        oracle = dict(zip(distinct, markov.unipotency_oracles(distinct)))
-        for t, depth in zip(tuples, members.values()):
-            yield _tuple_record(depth, t, oracle[t], args.eq2_variant, args.format)
+    def records(members) -> list[str]:
+        items = list(members.items())
+        chunks = max(1, min(suites.usable_cpus(), len(items) // collection._BLOCK))
+        size = -(-len(items) // chunks)
+
+        def text(start: int) -> str:
+            part = items[start:start + size]
+            tuples = [m if args.file is None else markov.t_map(m) for m, _ in part]
+            # the oracle runs once per distinct tuple: mutated collections can share one
+            distinct = dict.fromkeys(tuples)
+            oracle = dict(zip(distinct, markov.unipotency_oracles(distinct)))
+            return "".join(
+                _tuple_record(depth, t, oracle[t], args.eq2_variant, args.format) + "\n"
+                for t, (_, depth) in zip(tuples, part)
+            )
+
+        return suites.run_shares(text, range(0, len(items), size))
 
     return _capped_run(markov.orbit, seed, args.depth, args.cap, records)
 
@@ -129,7 +148,7 @@ def cmd_orbit(args) -> int:
 def cmd_stabilizer(args) -> int:
     c = collection.load(args.file)
     return _capped_run(markov.stabilizer_scan, c, args.max_len, args.cap,
-                       lambda words: (w.to_text() for w in words))
+                       lambda words: (w.to_text() + "\n" for w in words))
 
 
 def _print_system(system: regions.InequalitySystem, fmt: str) -> int:

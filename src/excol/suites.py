@@ -6,11 +6,12 @@ explicitly seeded generator so reports are reproducible.
 
 The suites are independent, so ``run_suite`` deals the ones it runs
 (one, or every suite for ``"all"``) round-robin into one share per CPU
-this process may use, at most one per suite, and into one share without
-``os.fork`` or when the process already runs more than one thread.  It
-runs the first share itself and each other share in a forked child, so
-a single suite forks nothing, and the checks come back in ``SUITES``
-order whatever the number of shares.
+this process may use, at most one per suite, and the checks come back
+in ``SUITES`` order whatever the number of shares.  The shares run
+through ``run_shares``, the one runner that ``excol orbit`` also uses
+for its records: the first share in process and each other share in a
+forked child, with share k pinned to the k-th usable CPU in turn, so a
+single suite forks nothing.
 """
 
 from __future__ import annotations
@@ -460,60 +461,79 @@ SUITES = {
 }
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _fork(share, seed: int):
-    """``(pid, read end of its pipe)`` of a child forked to write the checks
-    of the suites in ``share`` there, or None if no process can be forked."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        status = 1
+def _pin(cpus) -> None:
+    """Confine this process to the CPUs in ``cpus``; nothing when it is
+    empty or the system refuses."""
+    if cpus:
         try:
-            rows = [[tuple(c) for c in SUITES[name](seed)] for name in share]
-            with open(w, "wb") as pipe:
-                pipe.write(marshal.dumps(rows))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, open(r, "rb")
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
 
 
-def run_suite(name: str, seed: int = 0) -> list[Check]:
-    """The checks of suite ``name``; for ``"all"``, those of every suite
-    labelled with its name, in ``SUITES`` order.
+_UNREAD = object()  # a child's value that did not arrive
 
-    A share whose child could not be forked, exits nonzero or sends a
-    short result runs here, so a suite's error is raised here.  On any
-    exception, KeyboardInterrupt included, every unreaped child is
-    killed and reaped.
+
+def run_shares(work, shares) -> list:
+    """``[work(s) for s in shares]``, with every share after the first
+    computed in a forked child that sends ``work(s)`` back through a pipe
+    as ``marshal`` data, so ``work`` must return what ``marshal`` can dump.
+
+    The parent computes ``shares[0]`` while the children run, then takes
+    their values in order.  A share whose child could not be forked,
+    exits nonzero or sends an unreadable value is computed here, so an
+    error of ``work`` is raised here.  Nothing is forked for one share,
+    with one usable CPU, without ``os.fork`` or when the process already
+    runs more than one thread: a child forked then can block on a lock
+    that another thread held at the fork.  With ``os.sched_setaffinity``,
+    share k runs pinned to ``cpus[k % len(cpus)]`` of the sorted usable
+    CPUs, since the scheduler tends to leave a child on its parent's CPU;
+    the parent takes back its own mask after its share.  A refused pin is
+    ignored.  On any exception, KeyboardInterrupt included, every
+    unreaped child is killed and reaped.
     """
-    if name != "all" and name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-    names = list(SUITES) if name == "all" else [name]
-    # a child forked from a threaded process can block on a lock that
-    # another thread held at the fork
+    shares = list(shares)
     threading = sys.modules.get("threading")
     threaded = threading is not None and threading.active_count() > 1
-    workers = 1 if threaded or not hasattr(os, "fork") else min(len(names), _usable_cpus())
-    shares = [names[k::workers] for k in range(workers)]
-    children = []  # (pid, pipe) per share after the first; None once reaped or unforked
+    if len(shares) < 2 or threaded or not hasattr(os, "fork") or usable_cpus() < 2:
+        return [work(share) for share in shares]
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    cpus = [{cpu} for cpu in sorted(mask)] or [set()]
+    children = []  # (pid, read end) per share after the first; None once reaped or unforked
     try:
-        for share in shares[1:]:
-            children.append(_fork(share, seed))
-        by_suite = {suite: SUITES[suite](seed) for suite in shares[0]}
+        for k, share in enumerate(shares[1:], 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                children.append(None)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    _pin(cpus[k % len(cpus)])
+                    data = marshal.dumps(work(share))
+                    with open(w, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        _pin(cpus[0])
+        results = [work(shares[0])]
+        _pin(mask)
         for k, share in enumerate(shares[1:]):
-            rows = None
+            value = _UNREAD
             if children[k] is not None:
                 pid, pipe = children[k]
                 with pipe:
@@ -521,13 +541,12 @@ def run_suite(name: str, seed: int = 0) -> list[Check]:
                 status = os.waitpid(pid, 0)[1]
                 children[k] = None
                 try:
-                    rows = marshal.loads(data) if status == 0 else None
+                    value = marshal.loads(data) if status == 0 else _UNREAD
                 except (EOFError, ValueError, TypeError):
                     pass
-            if rows is None:
-                rows = [SUITES[suite](seed) for suite in share]
-            by_suite.update(zip(share, rows))
+            results.append(work(share) if value is _UNREAD else value)
     finally:
+        _pin(mask)
         if any(children):
             import signal  # here, so that importing the CLI does not load it
 
@@ -535,6 +554,29 @@ def run_suite(name: str, seed: int = 0) -> list[Check]:
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    return results
+
+
+def run_suite(name: str, seed: int = 0) -> list[Check]:
+    """The checks of suite ``name``; for ``"all"``, those of every suite
+    labelled with its name, in ``SUITES`` order.
+
+    The suites are dealt round-robin into one share per usable CPU, at
+    most one per suite, and ``run_shares`` runs the shares, so one suite
+    forks nothing and an error reads the same on any number of CPUs.
+    """
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
+    names = list(SUITES) if name == "all" else [name]
+    workers = min(len(names), usable_cpus())
+
+    def rows(share):
+        return [[tuple(c) for c in SUITES[suite](seed)] for suite in share]
+
+    shares = [names[k::workers] for k in range(workers)]
+    by_suite = {}
+    for share, share_rows in zip(shares, run_shares(rows, shares)):
+        by_suite.update(zip(share, share_rows))
     if name != "all":
-        return by_suite[name]
+        return [Check(*c) for c in by_suite[name]]
     return [Check(f"{suite}: {c[0]}", *c[1:]) for suite in names for c in by_suite[suite]]

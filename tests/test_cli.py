@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from excol import _matrix, cli, markov, regions, suites
+from excol import _matrix, cli, collection, markov, regions, suites
 from excol.braid import BraidWord, is_trivial, parse_word
 from excol.cli import main
 from excol.collection import load, to_json_text
@@ -35,8 +35,9 @@ def run(capsys, argv):
 
 
 def force_cpus(monkeypatch, cpus):
-    """Make ``run_suite("all")`` see ``cpus`` usable CPUs; return the pids it forks."""
-    monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
+    """Make ``run_shares`` and its callers see ``cpus`` usable CPUs; return
+    the pids they fork."""
+    monkeypatch.setattr(suites, "usable_cpus", lambda: cpus)
     forked, fork = [], os.fork
 
     def counting_fork():
@@ -580,36 +581,171 @@ class TestStabilizer:
 IDENTITY_FILE = '{"n":3,"gram":[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],"classes":"identity"}\n'
 
 
+ORBIT_DIGESTS = [
+    (["orbit", "B3", "--depth", "6"],
+     "d49d495678331df89d2178dab0d839541f84be38b1a30ccb65cb9735b6044140"),
+    (["orbit", "B3", "--depth", "6", "--format", "json"],
+     "77b5ce32d42dc89353e5d7ae88b3dbfd4599fd4064634b453d34c8df876b007c"),
+    (["orbit", "--tuple", "4,6,4,4,6,4", "--depth", "14"],
+     "5db7bc7b1cfd4fd50820c8107588a56be6ee8095bba9640fd0c3da4207a52a3b"),
+    (["orbit", "--tuple", "1,0,0,0,0,0", "--depth", "8"],
+     "9f9aa11312135bfc852a75ca53ed3e36ab6aa197a10af4bdee536acb31e380b1"),
+]
+
+
 class TestPinnedExploreOutputs:
     """sha256 of the stdout of the orbit and stabilizer commands, taken
     from the inverse-then-product oracle and the collection-per-node scan
     that the back-substitution oracle and the rank-2 scan replaced."""
 
-    @pytest.mark.parametrize("argv,digest", [
-        (["orbit", "B3", "--depth", "6"],
-         "d49d495678331df89d2178dab0d839541f84be38b1a30ccb65cb9735b6044140"),
-        (["orbit", "B3", "--depth", "6", "--format", "json"],
-         "77b5ce32d42dc89353e5d7ae88b3dbfd4599fd4064634b453d34c8df876b007c"),
-        (["orbit", "--tuple", "4,6,4,4,6,4", "--depth", "14"],
-         "5db7bc7b1cfd4fd50820c8107588a56be6ee8095bba9640fd0c3da4207a52a3b"),
-        (["orbit", "--tuple", "1,0,0,0,0,0", "--depth", "8"],
-         "9f9aa11312135bfc852a75ca53ed3e36ab6aa197a10af4bdee536acb31e380b1"),
+    @staticmethod
+    def files(beilinson_file, tmp_path):
+        identity_file = tmp_path / "id4.json"
+        identity_file.write_text(IDENTITY_FILE)
+        return {"B3": str(beilinson_file), "ID4": str(identity_file)}
+
+    @pytest.mark.parametrize("argv,digest", ORBIT_DIGESTS + [
         (["stabilizer", "B3", "--max-len", "6"],
          "5c5908a1a77c697562269f35335e76a46ea0489794f501daadac97ccb39bfd91"),
         (["stabilizer", "ID4", "--max-len", "6"],
          "56bee5bfab0dd67b3584cc615df0aa467d0fe709e0b0cd404a27a2f5914a9d82"),
     ])
     def test_stdout_digest(self, beilinson_file, tmp_path, capsys, argv, digest):
-        identity_file = tmp_path / "id4.json"
-        identity_file.write_text(IDENTITY_FILE)
-        files = {"B3": str(beilinson_file), "ID4": str(identity_file)}
+        files = self.files(beilinson_file, tmp_path)
         status, out, _ = run(capsys, [files.get(a, a) for a in argv])
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    @pytest.mark.parametrize("argv,digest", ORBIT_DIGESTS)
+    def test_orbit_digest_on_any_number_of_cpus(self, beilinson_file, tmp_path, capsys,
+                                                monkeypatch, argv, digest, cpus):
+        forked = force_cpus(monkeypatch, cpus)
+        files = self.files(beilinson_file, tmp_path)
+        status, out, _ = run(capsys, [files.get(a, a) for a in argv])
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # one chunk per CPU, each of at least _BLOCK members
+        chunks = max(1, min(cpus, out.count("\n") // collection._BLOCK))
+        assert len(forked) == chunks - 1
+        assert_no_children()
+
     def test_non_unipotent_records(self, capsys):
         _, out, _ = run(capsys, ["orbit", "--tuple", "1,0,0,0,0,0", "--depth", "8"])
         assert out.count("oracle=0") == 12
+
+
+class TestOrbitShares:
+    # the orbit of (4,6,4,4,6,4) has 468 members at depth 9 and 827 at depth 10
+    @pytest.mark.parametrize("depth, forks", [(9, 0), (10, 2)])
+    def test_chunks_of_at_least_one_block(self, capsys, monkeypatch, depth, forks):
+        assert 468 < 2 * collection._BLOCK <= 827
+        argv = ["orbit", "--tuple", "4,6,4,4,6,4", "--depth", str(depth)]
+        expected = run(capsys, argv)
+        forked = force_cpus(monkeypatch, 5)
+        assert run(capsys, argv) == expected
+        assert len(forked) == forks
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_partial_output_past_cap(self, beilinson_file, capsys, monkeypatch, fmt):
+        argv = ["orbit", str(beilinson_file), "--depth", "6", "--cap", "2000", "--format", fmt]
+        force_cpus(monkeypatch, 1)
+        expected = run(capsys, argv)
+        assert expected[0] == 1 and expected[2] == "cap of 2000 exceeded; output is partial\n"
+        assert expected[1].count("\n") == 2000
+        forked = force_cpus(monkeypatch, 2)
+        assert run(capsys, argv) == expected
+        assert len(forked) == 1
+        assert_no_children()
+
+    def test_reruns_the_chunk_of_a_failed_child(self, beilinson_file, capsys, monkeypatch):
+        argv = ["orbit", str(beilinson_file), "--depth", "6"]
+        force_cpus(monkeypatch, 1)
+        expected = run(capsys, argv)
+        parent, oracles = os.getpid(), markov.unipotency_oracles
+
+        def dies_in_child(ts):
+            if os.getpid() != parent:
+                os._exit(3)
+            return oracles(ts)
+
+        forked = force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(markov, "unipotency_oracles", dies_in_child)
+        assert run(capsys, argv) == expected
+        assert len(forked) == 1
+        assert_no_children()
+
+    def test_sigint_while_waiting_on_a_child(self):
+        # the child reports its pid, then sleeps; the parent's chunk is done
+        # well within the second before the interrupt
+        code = (
+            "import os, signal, sys, time\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "from excol import markov, suites\n"
+            "from excol.cli import main\n"
+            "parent, oracles = os.getpid(), markov.unipotency_oracles\n"
+            "def oracles_or_sleep(ts):\n"
+            "    if os.getpid() != parent:\n"
+            "        os.write(1, b'%d\\n' % os.getpid())\n"
+            "        time.sleep(60)\n"
+            "    return oracles(ts)\n"
+            "markov.unipotency_oracles = oracles_or_sleep\n"
+            "suites.usable_cpus = lambda: 2\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "orbit", "--tuple", "4,6,4,4,6,4", "--depth", "10"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            child = int(proc.stdout.readline())
+            time.sleep(1)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+        assert (proc.returncode, out, err) == (2, "", "error: interrupted\n")
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+class TestRunShares:
+    def test_share_k_runs_on_cpu_k_round_robin(self, monkeypatch):
+        cpus = sorted(os.sched_getaffinity(0))
+        forked = force_cpus(monkeypatch, 3)
+        pinned = suites.run_shares(lambda k: sorted(os.sched_getaffinity(0)), range(3))
+        assert pinned == [[cpus[k % len(cpus)]] for k in range(3)]
+        assert len(forked) == 2
+        assert os.sched_getaffinity(0) == set(cpus)
+        assert_no_children()
+
+    def test_mask_restored_when_the_parent_share_raises(self, monkeypatch):
+        mask = os.sched_getaffinity(0)
+        parent = os.getpid()
+
+        def work(k):
+            if os.getpid() == parent:
+                raise ValueError("boom")
+            return k
+
+        forked = force_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match="^boom$"):
+            suites.run_shares(work, [0, 1])
+        assert len(forked) == 1
+        assert os.sched_getaffinity(0) == mask
+        assert_no_children()
+
+    def test_a_refused_pin_still_runs_the_share(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise PermissionError("pinning refused")
+
+        forked = force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(suites.os, "sched_setaffinity", refuse)
+        assert suites.run_shares(lambda k: [k, None], [0, 1]) == [[0, None], [1, None]]
+        assert len(forked) == 1
+        assert_no_children()
 
 
 class TestPinnedVerifyOutputs:

@@ -4,10 +4,10 @@
 and executes generated code for every class it decorates, which every
 ``excol`` process would pay before doing any work.  A process pool
 (``multiprocessing``, ``concurrent.futures``) costs about 20 ms of
-imports and starts helper threads; ``verify all`` forks with ``os.fork``
-instead.  Each check runs a
-fresh interpreter without ``site`` (``-S``), so nothing imported at
-start-up can hide an import made by excol.
+imports and starts helper threads; ``verify all`` and ``orbit`` fork
+with ``os.fork`` instead.  Each check runs a fresh interpreter without
+``site`` (``-S``), so nothing imported at start-up can hide an import
+made by excol.
 """
 
 import os
