@@ -21,6 +21,10 @@ factor that the pass turns into D moves to the nearer end, D^s or D^t,
 conjugating by tau the factors it passes.  The form is
 D^(s+t) . tau^t(fs).  Permutation braids are stored as permutations in
 one-line notation, composed left to right (p then q) as in word order.
+The pass reads them interned as small ints, one table per strand count,
+which holds the factor each letter appends, the left-weighted pair of
+two ids and tau of an id; the factors become permutations again once,
+for the ``GarsideForm``.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ Letter = tuple[int, int]
 
 _TOKEN_ALIASES = {"L": 1, "R": -1}
 
-# Entries kept by each permutation cache: a 4-strand word visits at most
-# 24 permutations, while a long word on many strands would otherwise
-# keep every permutation it ever visits.
+# Entries kept by each permutation cache; the normal form's tables may
+# hold 8 times as many together before they are dropped.  A 4-strand
+# word visits at most 24 permutations, while a long word on many strands
+# would otherwise keep every permutation it ever visits.
 _CACHE_SIZE = 512
 
 
@@ -86,14 +91,12 @@ def _finishing(p: Perm) -> frozenset[int]:
     return _starting(_inv(p))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _tau(p: Perm) -> Perm:
     """Conjugation by the half twist: D^-1 p D at the permutation level."""
     n = len(p)
     return tuple(n - 1 - p[n - 1 - j] for j in range(n))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _left_weighted_pair(x: Perm, y: Perm) -> tuple[Perm, Perm]:
     """Shift weight leftward until the pair (x, y) is left weighted.
 
@@ -300,47 +303,130 @@ def _one_line(p: Perm) -> str:
     return "(" + " ".join(str(v + 1) for v in p) + ")"
 
 
-def normal_form(w: BraidWord) -> GarsideForm:
-    """The unique left Garside normal form of the word."""
-    n = w.strands
-    w0 = _w0(n)
-    e = _identity_perm(n)
-    s = t = 0
-    fs: list[Perm] = []  # the braid read so far is D^s . fs . D^t
-    for i, sign in w.letters:
-        q = _gen(n, i)
+class _Table:
+    """The permutations of one strand count that normal forms met, interned as ids.
+
+    Ids index ``perms``; the identity is id 0.  ``tau`` maps an id to the
+    id of tau of its permutation.  ``factors`` maps each parity of t to
+    the id of tau^t of the factor that a letter appends, and ``pairs``
+    maps two ids to the ids of their left-weighted pair.  Entries are
+    filled from ``_gen``, ``_mul``, ``_tau`` and ``_left_weighted_pair``
+    when first needed.
+    """
+
+    __slots__ = ("n", "perms", "ids", "tau", "factors", "pairs", "w0")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.perms: list[Perm] = []
+        self.ids: dict[Perm, int] = {}
+        self.tau: dict[int, int] = {}
+        self.factors: tuple[dict, dict] = ({}, {})
+        self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        self.intern(_identity_perm(n))
+        self.w0 = self.intern(_w0(n))
+
+    def intern(self, p: Perm) -> int:
+        k = self.ids.get(p)
+        if k is None:
+            k = self.ids[p] = len(self.perms)
+            self.perms.append(p)
+        return k
+
+    def tau_of(self, k: int) -> int:
+        t = self.tau.get(k)
+        if t is None:
+            t = self.tau[k] = self.intern(_tau(self.perms[k]))
+            self.tau[t] = k  # tau is an involution
+        return t
+
+    def factor(self, letter: Letter, parity: int) -> int:
+        """tau^parity of sigma_i, or of D sigma_i^-1 for an inverse letter."""
+        i, sign = letter
+        q = _gen(self.n, i)
         if sign < 0:
+            q = _mul(_w0(self.n), q)
+        k = self.intern(q)
+        if parity:
+            k = self.tau_of(k)
+        self.factors[parity][letter] = k
+        return k
+
+    def pair(self, x: int, y: int) -> tuple[int, int]:
+        px = self.perms[x]
+        nx, ny = _left_weighted_pair(px, self.perms[y])
+        # a pair that is left weighted already comes back as it went in
+        r = self.pairs[x, y] = (x, y) if nx is px else (self.intern(nx), self.intern(ny))
+        return r
+
+    def __len__(self) -> int:
+        return len(self.perms) + len(self.pairs)
+
+
+_TABLES: dict[int, _Table] = {}  # strand count -> its table
+
+
+def _table(n: int) -> _Table:
+    """The table of n strands.
+
+    Once the tables together hold more than 8 * _CACHE_SIZE entries
+    (permutations and pairs), all of them are dropped and rebuilt as
+    normal forms need them; a 4-strand table holds at most 24
+    permutations and 576 pairs.
+    """
+    if sum(map(len, _TABLES.values())) > 8 * _CACHE_SIZE:
+        _TABLES.clear()
+    table = _TABLES.get(n)
+    if table is None:
+        table = _TABLES[n] = _Table(n)
+    return table
+
+
+def normal_form(w: BraidWord) -> GarsideForm:
+    """The unique left Garside normal form of the word, computed over interned ids."""
+    n = w.strands
+    table = _table(n)
+    tau_of, pairs, factors, w0 = table.tau_of, table.pairs, table.factors, table.w0
+    s = t = 0
+    fs: list[int] = []  # the braid read so far is D^s . fs . D^t; the identity is id 0
+    for letter in w.letters:
+        if letter[1] < 0:
             # sigma_i^-1 = D^-1 (D sigma_i^-1), the parenthesis is positive
             t -= 1
-            q = _mul(w0, q)
-        if t & 1:
-            q = _tau(q)  # D^t q = tau^t(q) D^t
+        # D^t q = tau^t(q) D^t
+        q = factors[t & 1].get(letter)
+        if q is None:
+            q = table.factor(letter, t & 1)
         if q == w0:  # only on 2 strands, where the identity is popped below
             t += 1
             continue
         fs.append(q)
         k = len(fs) - 2
         while k >= 0:
-            nx, ny = _left_weighted_pair(fs[k], q)
-            if nx == fs[k]:
+            x = fs[k]
+            r = pairs.get((x, q))
+            if r is None:
+                r = table.pair(x, q)
+            nx, ny = r
+            if nx == x:
                 break
             fs[k + 1] = ny
             if nx == w0:
                 del fs[k]
                 if 2 * k < len(fs):  # D leaves by the nearer end
                     s += 1
-                    fs[:k] = [_tau(f) for f in fs[:k]]
+                    fs[:k] = map(tau_of, fs[:k])
                 else:
                     t += 1
-                    fs[k:] = [_tau(f) for f in fs[k:]]
+                    fs[k:] = map(tau_of, fs[k:])
                 break
             fs[k] = q = nx
             k -= 1
-        if fs[-1] == e:
+        if not fs[-1]:
             fs.pop()
     if t & 1:
-        fs = [_tau(f) for f in fs]
-    return GarsideForm(n, s + t, tuple(fs))
+        fs = map(tau_of, fs)
+    return GarsideForm(n, s + t, tuple(map(table.perms.__getitem__, fs)))
 
 
 def is_trivial(w: BraidWord) -> bool:

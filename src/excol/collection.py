@@ -10,14 +10,15 @@ serves both sides.  Let a = chi(E_i, E_{i+1}) and name the slots
 rule sends the entries (x_p, x_q) to (a*x_p - x_q, x_p).  The classes
 take it on their column pair; the Gram matrix transforms by congruence,
 the rule on its column pair and then on its row pair.  One step
-therefore costs O(n) entry updates.  All arithmetic is
-arbitrary-precision integer.
+therefore costs O(n) entry updates.  The rule runs in place on lists of
+row lists; a single step copies a pair's rows and freezes them back to
+tuples, and a word copies once, runs the rule for every letter and
+freezes once.  All arithmetic is arbitrary-precision integer.
 """
 
 from __future__ import annotations
 
 import json
-from functools import reduce
 from itertools import chain, islice
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
@@ -71,22 +72,32 @@ def from_gram(gram) -> NumericalCollection:
     return NumericalCollection(g, _matrix.identity(len(g)))
 
 
-def _rank2(pair: tuple[IntMatrix, IntMatrix], letter: Letter) -> tuple[IntMatrix, IntMatrix]:
-    """One letter (i, side) on a (gram, classes) pair, by the rule of the module docstring.
+def _rank2_rows(gram: list, classes: list, letter: Letter) -> None:
+    """One letter (i, side) on lists of row lists, in place, by the rule of the module docstring.
 
     Side +1, a left mutation, takes slots (p, q) = (i, i+1); side -1, a
     right one, takes (i+1, i).  Every row of both matrices takes the rule
     at (p, q), then so do the Gram rows: row p becomes a*row_p - row_q
-    and row q becomes row_p.  A ``NumericalCollection`` is such a pair.
-    The index is not checked.
+    and row q becomes row_p.  Rows must be distinct lists.  The index is
+    not checked.
     """
     i, side = letter
     p, q = (i, i + 1) if side == 1 else (i + 1, i)
-    a = pair[0][i][i + 1]
-    gram, classes = [[list(row) for row in m] for m in pair]
-    for row in gram + classes:
+    a = gram[i][i + 1]
+    for row in gram:
+        row[p], row[q] = a * row[p] - row[q], row[p]
+    for row in classes:
         row[p], row[q] = a * row[p] - row[q], row[p]
     gram[p], gram[q] = [a * x - y for x, y in zip(gram[p], gram[q])], gram[p]
+
+
+def _rank2(pair: tuple[IntMatrix, IntMatrix], letter: Letter) -> tuple[IntMatrix, IntMatrix]:
+    """One letter on a frozen (gram, classes) pair, by ``_rank2_rows`` on a copy.
+
+    A ``NumericalCollection`` is such a pair.  The index is not checked.
+    """
+    gram, classes = list(map(list, pair[0])), list(map(list, pair[1]))
+    _rank2_rows(gram, classes, letter)
     return tuple(map(tuple, gram)), tuple(map(tuple, classes))
 
 
@@ -113,8 +124,11 @@ def apply_word(c: NumericalCollection, w: BraidWord) -> NumericalCollection:
         raise ValueError(
             f"word on {w.strands} strands cannot act on a collection of {c.strands} objects"
         )
-    # indices were checked when w was built
-    return NumericalCollection(*reduce(_rank2, reversed(w.letters), c))
+    # indices were checked when w was built; the rows are copied once and frozen once
+    gram, classes = list(map(list, c.gram)), list(map(list, c.classes))
+    for letter in reversed(w.letters):
+        _rank2_rows(gram, classes, letter)
+    return NumericalCollection(tuple(map(tuple, gram)), tuple(map(tuple, classes)))
 
 
 def _serre_block(block: Sequence[IntMatrix]) -> list:

@@ -148,15 +148,61 @@ class TestCaches:
         assert caches
         assert all(f.cache_info().maxsize is not None for f in caches)
 
-    def test_eviction_keeps_normal_form(self):
+    def test_reset_keeps_normal_form(self):
+        # the tables outgrow their bound on the way, so normal_form drops and
+        # rebuilds them between words; a full reset then gives the same forms
         rng = random.Random(7)
-        w = BraidWord(10, tuple((rng.randrange(9), rng.choice((1, -1))) for _ in range(200)))
-        first = normal_form(w)
-        assert braid._left_weighted_pair.cache_info().currsize == braid._CACHE_SIZE
+        words = [
+            BraidWord(10, tuple((rng.randrange(9), rng.choice((1, -1))) for _ in range(200)))
+            for _ in range(8)
+        ]
+        table = braid._table(10)
+        first = [normal_form(w) for w in words]
+        assert braid._TABLES.get(10) is not table
         for f in vars(braid).values():
             if hasattr(f, "cache_clear"):
                 f.cache_clear()
-        assert normal_form(w) == first
+        braid._TABLES.clear()
+        assert [normal_form(w) for w in words] == first
+        assert [normal_form(w) for w in reversed(words)] == first[::-1]
+
+    def test_interned_tables_stay_bounded(self):
+        rng = random.Random(8)
+        bound = 8 * braid._CACHE_SIZE
+        most = resets = 0
+        for _ in range(400):
+            strands = rng.randint(2, 40)
+            before = braid._TABLES.get(strands)
+            normal_form(sample_word(rng, strands, rng.randint(0, 40), "mixed"))
+            resets += before is not None and braid._TABLES[strands] is not before
+            most = max(most, sum(map(len, braid._TABLES.values())))
+        assert resets and most <= 2 * bound
+        # a table is dropped only at the start of a call
+        for strands in (3, 4, 17):
+            braid._table(strands)
+            assert sum(map(len, braid._TABLES.values())) <= bound + 2
+
+    def test_table_entries_are_consistent(self):
+        rng = random.Random(26)
+        for strands in (2, 3, 4, 7):
+            braid._TABLES.clear()
+            for _ in range(20):
+                normal_form(sample_word(rng, strands, 30, "mixed"))
+            table = braid._TABLES[strands]
+            assert table.perms[0] == braid._identity_perm(strands)
+            assert table.perms[table.w0] == braid._w0(strands)
+            assert all(table.ids[p] == k for k, p in enumerate(table.perms))
+            assert table.tau
+            assert all(table.perms[t] == braid._tau(table.perms[k]) for k, t in table.tau.items())
+            for (x, y), (nx, ny) in table.pairs.items():
+                assert (table.perms[nx], table.perms[ny]) == reference_left_weighted_pair(
+                    table.perms[x], table.perms[y])
+            for parity, factors in enumerate(table.factors):
+                for (i, sign), k in factors.items():
+                    q = braid._gen(strands, i)
+                    if sign < 0:
+                        q = braid._mul(braid._w0(strands), q)
+                    assert table.perms[k] == (braid._tau(q) if parity else q)
 
 
 class TestTriviality:
@@ -339,7 +385,7 @@ class TestOnePassReference:
     @pytest.mark.parametrize("kind", ["mixed", "positive", "negative", "delta-spliced"])
     def test_random_words_match_full_passes(self, kind):
         rng = random.Random(21)
-        for strands in range(1, 11):
+        for strands in range(1, 13):
             for _ in range(40):
                 if kind == "delta-spliced":
                     w = sample_word(rng, strands, rng.randint(0, 20), "mixed")
@@ -352,7 +398,7 @@ class TestOnePassReference:
                 assert normal_form(w) == reference_normal_form(w)
 
     @pytest.mark.parametrize("strands, word", [
-        (4, 2000), (10, 300),  # random words of that length
+        (4, 2000), (10, 300), (64, 40),  # random words of that length
         # 60 periods each; the pass moves D to the front and to the back
         (10, "R2 R1 R0"), (4, "R0 L1 L2 R1"),
     ])

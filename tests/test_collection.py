@@ -1,5 +1,6 @@
 import random
 import sys
+from functools import reduce
 
 import pytest
 import sympy
@@ -147,6 +148,32 @@ class TestMutationFormulas:
                     assert (stepped.gram, stepped.classes) == dense_mutation(c, i, side)
                     assert apply_word(c, BraidWord(size, ((i, side),))) == stepped
                     c = stepped
+
+    def test_whole_word_kernel_matches_letter_by_letter(self):
+        # apply_word copies the rows once, runs the rule in place for every
+        # letter and freezes once; its result must not alias the input
+        rng = random.Random(15)
+        for bound in (9, 2 ** 64):
+            for size in range(2, 9):
+                for _ in range(6):
+                    c = from_gram(random_unitriangular(rng, size, -bound, bound))
+                    for _ in range(rng.randint(0, 3)):  # classes other than the identity
+                        c = _mutate(c, rng.randrange(size - 1), rng.choice((1, -1)))
+                    snapshot = (c.gram, c.classes, hash(c))
+                    w = BraidWord(size, tuple(
+                        (rng.randrange(size - 1), rng.choice((1, -1)))
+                        for _ in range(rng.randint(0, 40))
+                    ))
+                    out = apply_word(c, w)
+                    assert out == NumericalCollection(*reduce(collection._rank2, reversed(w.letters), c))
+                    dense = (c.gram, c.classes)
+                    for i, side in reversed(w.letters):
+                        dense = dense_mutation(NumericalCollection(*dense), i, side)
+                    assert (out.gram, out.classes) == dense
+                    assert (c.gram, c.classes, hash(c)) == snapshot
+                    assert type(out.gram) is tuple and type(out.classes) is tuple
+                    assert all(type(row) is tuple for m in out for row in m)
+                    hash(out)
 
 
 class TestLongWords:

@@ -158,6 +158,18 @@ def test_braid_relations_act_trivially(pair, data):
 
 @settings(max_examples=150, deadline=None)
 @given(collections(), st.data())
+def test_apply_word_is_an_action(c, data):
+    # u * v acts as v first, then u: one fused pass equals two passes
+    def word():
+        return BraidWord(c.strands, tuple(data.draw(st.lists(
+            st.tuples(st.integers(0, c.n - 1), st.sampled_from((1, -1))), max_size=12))))
+
+    u, v = word(), word()
+    assert apply_word(c, u * v) == apply_word(apply_word(c, v), u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(collections(), st.data())
 def test_single_mutation_keeps_unipotency(c, data):
     i = data.draw(st.integers(0, c.n - 1))
     side = data.draw(st.sampled_from((1, -1)))
