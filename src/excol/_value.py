@@ -11,6 +11,14 @@ class Value:
 
     __slots__ = ()
 
+    @classmethod
+    def _derived(cls, *fields):
+        """Skips ``__post_init__``: only for values derived from validated values."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            object.__setattr__(self, name, value)
+        return self
+
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
 

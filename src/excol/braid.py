@@ -24,12 +24,13 @@ one-line notation, composed left to right (p then q) as in word order.
 The pass reads them interned as small ints, one table per strand count,
 which holds the factor each letter appends, the left-weighted pair of
 two ids and tau of an id; the factors become permutations again once,
-for the ``GarsideForm``.
+for the ``GarsideForm``.  The tables are the module's only cache, and
+``_left_weighted_pair`` is its one left-weighting: it fills them and
+checks a ``GarsideForm`` built from outside input.  Words and forms
+derived from checked words are not checked again.
 """
 
 from __future__ import annotations
-
-import functools
 
 from ._value import Value
 
@@ -38,15 +39,22 @@ Letter = tuple[int, int]
 
 _TOKEN_ALIASES = {"L": 1, "R": -1}
 
-# Entries kept by each permutation cache; the normal form's tables may
-# hold 8 times as many together before they are dropped.  A 4-strand
-# word visits at most 24 permutations, while a long word on many strands
+# The normal form's tables may hold 8 times this many entries together
+# before they are dropped; it bounds nothing else.  A 4-strand word
+# visits at most 24 permutations, while a long word on many strands
 # would otherwise keep every permutation it ever visits.
 _CACHE_SIZE = 512
 
 
 class WordSyntaxError(ValueError):
     """Malformed braid word text or generator index out of range."""
+
+
+def _check_strands(strands) -> None:
+    if type(strands) is not int:
+        raise ValueError(f"strands must be an int, got {strands!r}")
+    if strands < 1:
+        raise ValueError(f"strand count must be positive, got {strands}")
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +64,10 @@ def _identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _w0(n: int) -> Perm:
     return tuple(range(n - 1, -1, -1))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _gen(n: int, i: int) -> Perm:
     img = list(range(n))
     img[i], img[i + 1] = img[i + 1], img[i]
@@ -77,18 +83,6 @@ def _inv(p: Perm) -> Perm:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _starting(p: Perm) -> frozenset[int]:
-    """Generators sigma_i left-dividing the permutation braid of p."""
-    return frozenset(i for i in range(len(p) - 1) if p[i] > p[i + 1])
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _finishing(p: Perm) -> frozenset[int]:
-    """Generators sigma_i right-dividing the permutation braid of p."""
-    return _starting(_inv(p))
 
 
 def _tau(p: Perm) -> Perm:
@@ -139,17 +133,16 @@ class BraidWord(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise ValueError(f"strand count must be positive, got {self.strands}")
+        _check_strands(self.strands)
         if type(self.letters) is not tuple:
             raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
         top = self.strands - 1
         for let in self.letters:
             if type(let) is not tuple:
                 raise ValueError(f"letters must hold tuples, got {let!r}")
-            i, e = let
-            if type(i) is not int or type(e) is not int:
+            if len(let) != 2 or type(let[0]) is not int or type(let[1]) is not int:
                 raise ValueError(f"letter {let!r} must be a pair of ints")
+            i, e = let
             if not 0 <= i < top:
                 raise WordSyntaxError(
                     f"generator index {i} out of range for {self.strands} strands"
@@ -160,16 +153,16 @@ class BraidWord(Value):
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
             raise ValueError("cannot multiply words on different strand counts")
-        return BraidWord(self.strands, self.letters + other.letters)
+        return BraidWord._derived(self.strands, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(
+        return BraidWord._derived(
             self.strands, tuple((i, -e) for i, e in reversed(self.letters))
         )
 
     def __pow__(self, k: int) -> "BraidWord":
         base = self if k >= 0 else self.inverse()
-        return BraidWord(self.strands, base.letters * abs(k))
+        return BraidWord._derived(self.strands, base.letters * abs(k))
 
     def free_reduce(self) -> "BraidWord":
         """Cancel adjacent sigma_i sigma_i^-1 pairs until none remain."""
@@ -179,7 +172,7 @@ class BraidWord(Value):
                 stack.pop()
             else:
                 stack.append(let)
-        return BraidWord(self.strands, tuple(stack))
+        return BraidWord._derived(self.strands, tuple(stack))
 
     def to_text(self) -> str:
         return " ".join(("L" if e == 1 else "R") + str(i) for i, e in self.letters)
@@ -193,8 +186,7 @@ def parse_word(text: str, strands: int) -> BraidWord:
     order; the rightmost acts first.  Generator indices are checked once
     every token has parsed, so a malformed token is reported first.
     """
-    if strands < 1:
-        raise ValueError(f"strand count must be positive, got {strands}")
+    _check_strands(strands)
     letters: list[Letter] = []
     out_of_range = None
     for token in text.split():
@@ -246,6 +238,9 @@ class GarsideForm(Value):
         self.__post_init__()
 
     def __post_init__(self):
+        _check_strands(self.strands)
+        if type(self.infimum) is not int:
+            raise ValueError(f"infimum must be an int, got {self.infimum!r}")
         w0 = _w0(self.strands)
         e = _identity_perm(self.strands)
         if type(self.factors) is not tuple:
@@ -258,7 +253,7 @@ class GarsideForm(Value):
             if f == e or f == w0:
                 raise ValueError("factors may not be trivial or the half twist")
         for a, b in zip(self.factors, self.factors[1:]):
-            if not _starting(b) <= _finishing(a):
+            if _left_weighted_pair(a, b)[0] is not a:
                 raise ValueError("factors are not left weighted")
 
     @property
@@ -279,7 +274,7 @@ class GarsideForm(Value):
             letters.extend(inv_half * (-self.infimum))
         for f in self.factors:
             letters.extend((i, 1) for i in _factor_letters(f))
-        return BraidWord(self.strands, tuple(letters))
+        return BraidWord._derived(self.strands, tuple(letters))
 
     def __str__(self) -> str:
         parts = [f"D^{self.infimum}"]
@@ -287,16 +282,17 @@ class GarsideForm(Value):
         return " . ".join(parts)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _factor_letters(p: Perm) -> tuple[int, ...]:
-    """A reduced positive word for a permutation braid (generator indices)."""
+def _factor_letters(p: Perm) -> list[int]:
+    """A reduced positive word for a permutation braid (generator indices):
+    the swaps of an insertion sort, each at the first descent left."""
     word = []
-    e = _identity_perm(len(p))
-    while p != e:
-        i = min(_starting(p))
-        word.append(i)
-        p = _mul(_gen(len(p), i), p)
-    return tuple(word)
+    p = list(p)
+    for j in range(1, len(p)):
+        while j and p[j - 1] > p[j]:
+            p[j - 1], p[j] = p[j], p[j - 1]
+            j -= 1
+            word.append(j)
+    return word
 
 
 def _one_line(p: Perm) -> str:
@@ -426,7 +422,7 @@ def normal_form(w: BraidWord) -> GarsideForm:
             fs.pop()
     if t & 1:
         fs = map(tau_of, fs)
-    return GarsideForm(n, s + t, tuple(map(table.perms.__getitem__, fs)))
+    return GarsideForm._derived(n, s + t, tuple(map(table.perms.__getitem__, fs)))
 
 
 def is_trivial(w: BraidWord) -> bool:

@@ -149,7 +149,7 @@ class GWord(Value):
         out: list[str] = []
         for let in reversed(self.letters):
             out.extend(inv[let])
-        return GWord(tuple(out))
+        return GWord._derived(tuple(out))
 
     def apply(self, t: SixTuple) -> SixTuple:
         """Act on a tuple, rightmost letter first."""
@@ -178,7 +178,7 @@ def f_image(w: BraidWord) -> GWord:
     letters: list[str] = []
     for i, e in w.letters:
         letters.extend(_R_IMAGES[i] if e == -1 else _L_IMAGES[i])
-    return GWord(tuple(letters))
+    return GWord._derived(tuple(letters))
 
 
 _DELTA = delta_word()
@@ -340,5 +340,6 @@ def stabilizer_scan(
                 head.reverse()
                 spellings.append(tuple(head + tail))
         spellings.sort()
-        found.extend(BraidWord(c.strands, tuple(map(alphabet.__getitem__, w))) for w in spellings)
+        found.extend(BraidWord._derived(c.strands, tuple(map(alphabet.__getitem__, w)))
+                     for w in spellings)
     return found

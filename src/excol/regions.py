@@ -45,6 +45,8 @@ class DegreeMatrix(Value):
         self.__post_init__()
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if self.n < 0:
             raise ValueError("degree matrix needs at least one object")
         if type(self.entries) is not tuple:
@@ -104,6 +106,8 @@ class InequalitySystem(Value):
         ))
 
     def __post_init__(self):
+        if type(self.dimension) is not int or self.dimension < 0:
+            raise ValueError(f"dimension must be a nonnegative int, got {self.dimension!r}")
         for coeffs, _ in self.constraints:
             if len(coeffs) != self.dimension:
                 raise ValueError("constraint arity does not match dimension")

@@ -144,13 +144,17 @@ class TestNormalForm:
 
 class TestCaches:
     def test_permutation_caches_are_bounded(self):
-        caches = [f for f in vars(braid).values() if hasattr(f, "cache_info")]
-        assert caches
-        assert all(f.cache_info().maxsize is not None for f in caches)
+        # the interned tables are the module's only cache
+        assert not [f for f in vars(braid).values() if hasattr(f, "cache_info")]
+        rng = random.Random(9)
+        for _ in range(60):
+            strands = rng.randint(2, 64)
+            normal_form(sample_word(rng, strands, rng.randint(0, 60), "mixed"))
+            assert sum(map(len, braid._TABLES.values())) <= 2 * 8 * braid._CACHE_SIZE
 
     def test_reset_keeps_normal_form(self):
         # the tables outgrow their bound on the way, so normal_form drops and
-        # rebuilds them between words; a full reset then gives the same forms
+        # rebuilds them between words; a reset then gives the same forms
         rng = random.Random(7)
         words = [
             BraidWord(10, tuple((rng.randrange(9), rng.choice((1, -1))) for _ in range(200)))
@@ -159,9 +163,6 @@ class TestCaches:
         table = braid._table(10)
         first = [normal_form(w) for w in words]
         assert braid._TABLES.get(10) is not table
-        for f in vars(braid).values():
-            if hasattr(f, "cache_clear"):
-                f.cache_clear()
         braid._TABLES.clear()
         assert [normal_form(w) for w in words] == first
         assert [normal_form(w) for w in reversed(words)] == first[::-1]
@@ -275,16 +276,27 @@ class TestSpecialWords:
 # ---------------------------------------------------------------------------
 # the full-pass normal form, kept as the reference for the one-pass form
 
+def descents(p):
+    """The generators sigma_i that left-divide the permutation braid of p."""
+    return {i for i in range(len(p) - 1) if p[i] > p[i + 1]}
+
+
 @functools.lru_cache(maxsize=4096)
 def reference_left_weighted_pair(x, y):
-    """Move the smallest movable generator from y to x, one at a time."""
+    """Move the smallest movable generator from y to x, one at a time.
+
+    sigma_i can move when it starts y and does not finish x, that is when
+    it does not start x^-1; moving it composes x with sigma_i on the
+    right and y with sigma_i on the left.
+    """
     while True:
-        movable = braid._starting(y) - braid._finishing(x)
+        x_inverse = tuple(sorted(range(len(x)), key=x.__getitem__))
+        movable = descents(y) - descents(x_inverse)
         if not movable:
             return x, y
-        s = braid._gen(len(x), min(movable))
-        x = braid._mul(x, s)
-        y = braid._mul(s, y)
+        i = min(movable)
+        x = tuple(i + 1 if v == i else i if v == i + 1 else v for v in x)
+        y = y[:i] + (y[i + 1], y[i]) + y[i + 2:]
 
 
 def reference_normalize_factors(strands, factors):

@@ -914,3 +914,25 @@ class TestBraidNf:
     def test_zero_strands_names_the_strand_count(self, capsys, word):
         status, out, err = run(capsys, ["braid", "nf", word, "--strands", "0"])
         assert (status, out, err) == (2, "", "error: strand count must be positive, got 0\n")
+
+
+class TestPinnedBraidOutputs:
+    """sha256 of the stdout of ``braid nf`` on seeded random words, taken
+    from the normal form whose output checked each factor and pair again."""
+
+    @pytest.mark.parametrize("strands, length, fmt, digest", [
+        (4, 2000, "text", "9f1e3bc0aae0b93050d9e00df3df07010849a1ce9a505cec0af022cc5d462680"),
+        (4, 2000, "json", "507fc1fd433ac399f98c4f381621d6025b39771da5755badf3d8cc552b02c9af"),
+        (10, 300, "text", "5fb17b11a2a286a0ed75c7cd9ef806d5707abb19505ef3827f9f2d7a7b6ead1f"),
+        (10, 300, "json", "91afd6cad3827b18a88e7467878e6f0577d1ca8937332fbde6d70a44fd9f09e4"),
+        (64, 40, "text", "9910f5049bb316e90a1609d4cf3b5e2bdb5d58c79a12ab08f4dbe20caf8f2ae9"),
+        (64, 40, "json", "960554699edfe8a1cf62791b103aa5a4841a1355300a9f376bc7fb2e8f2af55c"),
+    ])
+    def test_stdout_digest(self, capsys, strands, length, fmt, digest):
+        rng = random.Random(strands)
+        word = " ".join(("L" if rng.choice((1, -1)) == 1 else "R") + str(rng.randrange(strands - 1))
+                        for _ in range(length))
+        status, out, _ = run(capsys, ["braid", "nf", word, "--strands", str(strands),
+                                      "--format", fmt])
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

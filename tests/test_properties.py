@@ -20,11 +20,13 @@ from excol.collection import (  # noqa: E402
     _mutate,
     apply_word,
     conserves_pairing,
+    from_gram,
     from_json_text,
     is_minus_kappa_unipotent,
     to_json_text,
     unipotent_grams,
 )
+from excol.markov import f_image, stabilizer_scan  # noqa: E402
 from excol.pn import beilinson_collection  # noqa: E402
 from test_markov import reference_unipotent  # noqa: E402
 
@@ -94,6 +96,27 @@ def test_half_twist_power_adds_to_infimum(w, k):
     shift = k if w.strands > 1 else 0  # D is the identity on one strand
     spliced = half_twist(w.strands) ** k * w
     assert normal_form(spliced) == GarsideForm(w.strands, shift + nf.infimum, nf.factors)
+
+
+# values derived from checked values skip the constructor's checks; they
+# must pass those checks all the same
+
+@settings(max_examples=150, deadline=None)
+@given(words(min_strands=1, max_strands=12), st.integers(-3, 3), st.data())
+def test_derived_words_and_forms_pass_their_checks(u, k, data):
+    v = BraidWord(u.strands, tuple(data.draw(st.lists(
+        st.tuples(st.integers(0, max(u.strands - 2, 0)), st.sampled_from((1, -1))),
+        max_size=24 if u.strands > 1 else 0))))
+    nf = normal_form(u)
+    for value in (u * v, u.inverse(), u ** k, u.free_reduce(), nf, nf.word()):
+        value.__post_init__()
+
+
+@settings(max_examples=150, deadline=None)
+@given(words(min_strands=4, max_strands=4))
+def test_f_image_passes_its_checks(w):
+    f_image(w).__post_init__()
+    f_image(w).inverse().__post_init__()
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +189,18 @@ def test_apply_word_is_an_action(c, data):
 
     u, v = word(), word()
     assert apply_word(c, u * v) == apply_word(apply_word(c, v), u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 4), st.data())
+def test_stabilizer_words_pass_their_checks(size, data):
+    gram = tuple(
+        tuple(1 if i == j else (data.draw(st.integers(-2, 2)) if j > i else 0)
+              for j in range(size))
+        for i in range(size)
+    )
+    for w in stabilizer_scan(from_gram(gram), 4):
+        w.__post_init__()
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import re
 
 import pytest
 
@@ -121,15 +122,24 @@ def test_sparse_rows_slot_holds_the_nonzero_entries():
 
 
 def test_braid_word_post_init_runs_once_per_construction(monkeypatch):
+    # words built from outside input are checked once; words and forms
+    # derived from checked words are not checked again
     calls = []
-    original = BraidWord.__post_init__
-    monkeypatch.setattr(BraidWord, "__post_init__", lambda self: calls.append(1) or original(self))
+    for cls in (BraidWord, GarsideForm):
+        original = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, original=original: calls.append(1) or original(self))
     w = BraidWord(4, ((0, 1), (2, -1)))
     assert calls == [1]
     parse_word("L0 R2", 4)
     assert calls == [1, 1]
-    w * w, w.inverse(), w ** 2, w.free_reduce()
-    assert calls == [1] * 6
+    derived = [w * w, w.inverse(), w ** 2, w ** -3, w.free_reduce(), normal_form(w),
+               normal_form(w).word()]
+    assert calls == [1, 1]
+    assert derived[:5] == [BraidWord(4, letters) for letters in (
+        ((0, 1), (2, -1), (0, 1), (2, -1)), ((2, 1), (0, -1)), ((0, 1), (2, -1)) * 2,
+        ((2, 1), (0, -1)) * 3, ((0, 1), (2, -1)))]
+    assert derived[5] == GarsideForm(4, -1, ((2, 3, 1, 0), (1, 0, 2, 3)))
 
 
 def test_validation_still_runs_at_construction():
@@ -142,9 +152,28 @@ def test_validation_still_runs_at_construction():
     for factor in ((1, 0), (0, 1, 2, 7), (0, 0, 1, 2)):
         with pytest.raises(ValueError, match=r"^factor .* is not a permutation of 4 strands$"):
             GarsideForm(4, 0, (factor,))
-    for letter in ((0.0, 1), (0, True), (0, 1.0), (False, 1)):
+    for letter in ((0.0, 1), (0, True), (0, 1.0), (False, 1), (0, 1, 2), (0,), ()):
         with pytest.raises(ValueError, match=r"^letter .* must be a pair of ints$"):
             BraidWord(4, (letter,))
+    # integer fields are ints, not floats or bools, and in range
+    for make, message in (
+        (lambda: BraidWord(4.0, ((0, 1),)), "strands must be an int, got 4.0"),
+        (lambda: BraidWord(True, ()), "strands must be an int, got True"),
+        (lambda: GarsideForm(4.0, 0, ()), "strands must be an int, got 4.0"),
+        (lambda: GarsideForm(True, 0, ()), "strands must be an int, got True"),
+        (lambda: GarsideForm(0, 0, ()), "strand count must be positive, got 0"),
+        (lambda: GarsideForm(-1, 0, ()), "strand count must be positive, got -1"),
+        (lambda: GarsideForm(4, 0.5, ()), "infimum must be an int, got 0.5"),
+        (lambda: GarsideForm(4, True, ()), "infimum must be an int, got True"),
+        (lambda: parse_word("L0", 4.0), "strands must be an int, got 4.0"),
+        (lambda: DegreeMatrix(1.0, ((0, 0), (0, 0))), "n must be an int, got 1.0"),
+        (lambda: DegreeMatrix(False, ((0,),)), "n must be an int, got False"),
+        (lambda: InequalitySystem(2.5, []), "dimension must be a nonnegative int, got 2.5"),
+        (lambda: InequalitySystem(True, [([1], 0)]), "dimension must be a nonnegative int, got True"),
+        (lambda: InequalitySystem(-1, []), "dimension must be a nonnegative int, got -1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
     for index in (-1, 3):
         with pytest.raises(ValueError, match=f"^generator index {index} out of range for 4 strands$"):
             BraidWord(4, ((index, 1),))
