@@ -1,8 +1,9 @@
 """Base of the immutable value types whose constructors validate.
 
 A subclass names its fields in ``_fields`` and ``__slots__``; its
-``__init__`` stores each with ``object.__setattr__``, then calls
-``self.__post_init__()``.  Defining one runs no generated code.
+``__init__`` validates them and stores each with ``object.__setattr__``,
+usually by calling ``self.__post_init__()`` after storing.  Defining one
+runs no generated code.
 """
 
 

@@ -17,9 +17,10 @@ from .braid import normal_form, parse_word
 from .markov import CapExceededError, SixTuple
 
 # Upper bounds on the size options, checked before anything is allocated:
-# the strong region system has O(n^3) entries, the twist collection on
-# P^n has O(n^2) entries of O(n) bits, and a braid factor on N strands
-# is a permutation of N points.
+# the strong region system has O(n^2) rows of two nonzero entries each,
+# printed as O(n^3) dense text; the twist collection on P^n has O(n^2)
+# entries of O(n) bits, and a braid factor on N strands is a
+# permutation of N points.
 MAX_REGION_N = 128
 MAX_PN_N = 256
 MAX_STRANDS = 256

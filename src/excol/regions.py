@@ -8,30 +8,34 @@ so the n(n+1)/2 offsets of a region system cost O(n^3) together.  Masses
 are decoupled (they only need to be positive), so systems quantify over
 the phases alone.
 
-Feasibility is decided by Fourier-Motzkin elimination over exact
-rationals on sparse rows: each working row holds its nonzero
-coefficients and its nonzero multipliers over the original constraints,
-so the partition, the pair combinations and the back substitution touch
-nonzero entries only.  The answer is always certified, either by a
-witness point re-checked against every constraint or by a nonnegative
-combination of constraints summing to an impossible strict inequality;
-both re-checks skip zero coefficients too.  The public constraints stay
-dense tuples of ``Fraction``, with one ``Fraction`` per distinct value.
-In process (Python 3.11, 2-core VM), ``region_system(all_zero(n))``
-plus ``is_feasible`` takes about 0.03 s at n=32 (528 rows) and 0.14 s
-at n=64 (2080 rows).
+A system stores each row once, as its nonzero entries and its bound;
+every row excol builds is phi_i - phi_j < b, two entries whatever the
+dimension, and dense rows are spelled out only on request.  Feasibility
+is decided by Fourier-Motzkin elimination over exact rationals on these
+sparse rows: each working row holds its nonzero coefficients and its
+nonzero multipliers over the original constraints, so the partition,
+the pair combinations and the back substitution touch nonzero entries
+only.  The answer is always certified, either by a witness point
+re-checked against every constraint or by a nonnegative combination of
+constraints summing to an impossible strict inequality; both re-checks
+skip zero coefficients too.  In process (Python 3.11, 2-core VM),
+``region_system(all_zero(n))`` plus ``is_feasible`` takes about 0.015 s
+at n=32 (528 rows), 0.06 s at n=64 (2080 rows) and 0.3 s at n=128
+(8256 rows).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from math import inf
 from typing import NamedTuple, Sequence, Union
 
 from ._value import Value
 
 Rational = Union[int, Fraction]
+
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
 class DegreeMatrix(Value):
@@ -78,39 +82,59 @@ class DegreeMatrix(Value):
         return self.entries[i][j]
 
 
+def _check_exact(values: list, what: str) -> None:
+    """Reject anything in ``values`` that is not an int or a Fraction
+    (floats, bools, strings): the one exactness check on outside input."""
+    bad_types = set(map(type, values)) - {int, Fraction}
+    if bad_types:
+        bad = next(x for x in values if type(x) in bad_types)
+        raise ValueError(f"{what} must be ints or Fractions, got {bad!r}")
+
+
 class InequalitySystem(Value):
     """Finite conjunction of strict inequalities <coeffs, phi> < bound.
 
-    Entries must be ints or Fractions, not floats or bools; each distinct
-    value is stored as one shared ``Fraction``.  ``sparse_rows`` holds
-    each constraint as its nonzero ``(var, coeff)`` entries and bound; it
-    is built once here and takes no part in equality, hash or ``repr``."""
+    The one stored form is ``sparse_rows``: each constraint as its nonzero
+    ``(var, coeff)`` entries in variable order, and its bound, all
+    ``Fraction``s.  The constructor takes dense rows from outside, whose
+    entries must be ints or Fractions, not floats or bools, and stores
+    one shared ``Fraction`` per distinct value; ``constraints`` spells
+    the dense rows out again on demand."""
 
-    _fields = ("dimension", "constraints")
-    __slots__ = _fields + ("sparse_rows",)
+    _fields = __slots__ = ("dimension", "sparse_rows")
 
     def __init__(self, dimension: int, constraints: Sequence[tuple[Sequence[Rational], Rational]]):
         rows = [(tuple(coeffs), bound) for coeffs, bound in constraints]
         entries = list(chain.from_iterable(coeffs + (bound,) for coeffs, bound in rows))
-        bad_types = set(map(type, entries)) - {int, Fraction}
-        if bad_types:
-            bad = next(x for x in entries if type(x) in bad_types)
-            raise ValueError(f"inequality entries must be ints or Fractions, got {bad!r}")
-        value = {x: Fraction(x) for x in set(entries)}.__getitem__
-        frozen = tuple((tuple(map(value, coeffs)), value(bound)) for coeffs, bound in rows)
+        _check_exact(entries, "inequality entries")
+        if type(dimension) is not int or dimension < 0:
+            raise ValueError(f"dimension must be a nonnegative int, got {dimension!r}")
+        if any(len(coeffs) != dimension for coeffs, _ in rows):
+            raise ValueError("constraint arity does not match dimension")
+        value = {x: Fraction(x) if x else _ZERO for x in set(entries)}
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "constraints", frozen)
-        self.__post_init__()
         object.__setattr__(self, "sparse_rows", tuple(
-            (tuple(compress(enumerate(coeffs), coeffs)), bound) for coeffs, bound in frozen
+            (tuple((k, value[c]) for k, c in enumerate(coeffs) if c), value[bound])
+            for coeffs, bound in rows
         ))
 
-    def __post_init__(self):
-        if type(self.dimension) is not int or self.dimension < 0:
-            raise ValueError(f"dimension must be a nonnegative int, got {self.dimension!r}")
-        for coeffs, _ in self.constraints:
-            if len(coeffs) != self.dimension:
-                raise ValueError("constraint arity does not match dimension")
+    @property
+    def constraints(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
+        """The rows as dense ``(coeffs, bound)`` pairs, built on each call."""
+        dense = []
+        for row, bound in self.sparse_rows:
+            coeffs = [_ZERO] * self.dimension
+            for k, c in row:
+                coeffs[k] = c
+            dense.append((tuple(coeffs), bound))
+        return tuple(dense)
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(dimension={self.dimension!r}, "
+                f"constraints={self.constraints!r})")
+
+    def __reduce__(self):  # copy and pickle through the public constructor
+        return self.__class__, (self.dimension, self.constraints)
 
     def rows_text(self) -> list[str]:
         """Constraint rows as ``[c_0,...,c_n | b]`` in exact p/q notation."""
@@ -151,34 +175,32 @@ def alpha(d: DegreeMatrix, i: int, j: int) -> float:
     return _chain_minima(d, i, j)[-1]
 
 
-def _pair_row(dim: int, i: int, j: int, bound: Rational):
-    """Row for phi_i - phi_j < bound."""
-    coeffs = [0] * dim
-    coeffs[i] = 1
-    coeffs[j] = -1
-    return (coeffs, bound)
+def _pair_row(i: int, j: int, bound: Rational):
+    """Sparse row for phi_i - phi_j < bound, i != j."""
+    row = ((i, _ONE), (j, _MINUS_ONE)) if i < j else ((j, _MINUS_ONE), (i, _ONE))
+    return row, Fraction(bound)
 
 
-def _region_rows(d: DegreeMatrix, dim: int) -> list:
-    """Rows phi_i - phi_j < alpha_{i,j} over ``dim`` >= n+1 phases."""
+def _region_rows(d: DegreeMatrix) -> list:
+    """Sparse rows phi_i - phi_j < alpha_{i,j} for the finite offsets."""
     rows = []
     for i in range(d.n + 1):
         for j, a in enumerate(_chain_minima(d, i, d.n), start=i + 1):
             if a != inf:
-                rows.append(_pair_row(dim, i, j, a))
+                rows.append(_pair_row(i, j, a))
     return rows
 
 
 def region_system(d: DegreeMatrix) -> InequalitySystem:
     """Inequalities phi_i - phi_j < alpha_{i,j}; infinite offsets drop out."""
-    return InequalitySystem(d.n + 1, _region_rows(d, d.n + 1))
+    return InequalitySystem._derived(d.n + 1, tuple(_region_rows(d)))
 
 
 def _strong_system(dim: int, pairs) -> InequalitySystem:
     """The strong rows of 4 objects over ``dim`` phases, then
     phi_i - phi_j < b per (i, j, b)."""
-    rows = _region_rows(DegreeMatrix.all_zero(3), dim) + [_pair_row(dim, *p) for p in pairs]
-    return InequalitySystem(dim, rows)
+    rows = _region_rows(DegreeMatrix.all_zero(3)) + [_pair_row(*p) for p in pairs]
+    return InequalitySystem._derived(dim, tuple(rows))
 
 
 def lemma41_system(kidx: int) -> InequalitySystem:
@@ -229,10 +251,12 @@ class FeasibilityResult(NamedTuple):
 def contains(s: InequalitySystem, p) -> bool:
     """Exact strict membership of the vector of phases ``p``.
 
-    Each constraint is summed over its nonzero coefficients only, read
-    from ``InequalitySystem.sparse_rows``.
+    The coordinates must be ints or Fractions, as the constructor's
+    entries must.  Each constraint is summed over its nonzero
+    coefficients only.
     """
-    values = tuple(Fraction(x) for x in p)
+    values = list(p)
+    _check_exact(values, "point coordinates")
     if len(values) != s.dimension:
         raise ValueError(
             f"point dimension {len(values)} does not match system dimension {s.dimension}"
@@ -243,7 +267,7 @@ def contains(s: InequalitySystem, p) -> bool:
 
 
 def _certificate_valid(s: InequalitySystem, mult: Sequence[Fraction]) -> bool:
-    if len(mult) != len(s.constraints) or any(m < 0 for m in mult) or not any(mult):
+    if len(mult) != len(s.sparse_rows) or any(m < 0 for m in mult) or not any(mult):
         return False
     combo = [0] * s.dimension
     bound = 0
@@ -265,7 +289,7 @@ def is_feasible(s: InequalitySystem) -> FeasibilityResult:
     returning: witnesses through ``contains``, certificates through
     re-summation.
     """
-    m = len(s.constraints)
+    m = len(s.sparse_rows)
     rows: list[tuple[dict[int, Fraction], Fraction, dict[int, Rational]]] = [
         (dict(row), bound, {k: 1}) for k, (row, bound) in enumerate(s.sparse_rows)
     ]

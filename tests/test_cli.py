@@ -829,7 +829,9 @@ class TestRegion:
 class TestPinnedRegionOutputs:
     """sha256 of the stdout of the region commands, taken from the dense
     Fourier-Motzkin elimination and the pairwise chain minima that the
-    sparse rows and the one-pass minima replaced."""
+    sparse rows and the one-pass minima replaced; the digests of n=128,
+    the CLI's upper bound, and of thm51 in json were taken while each
+    system still stored its rows densely as well."""
 
     @pytest.mark.parametrize("argv,digest", [
         (["region", "strong", "--n", "32"],
@@ -844,6 +846,12 @@ class TestPinnedRegionOutputs:
          "2380093a7e7ca648758cd2a7e45a2fd02bfdf76964c9961f7eafcdaf96178e45"),
         (["region", "lemma41", "--kidx", "2"],
          "0717ec35515ad5b107f8059497bfd1a635c629bb295d04bc483072af35e49284"),
+        (["region", "strong", "--n", "128"],
+         "cb65d28d4c9f9398127aac65947e8bf605aef6e2e7c582eb523f5b275888dfaf"),
+        (["region", "strong", "--n", "128", "--format", "json"],
+         "360108c99687dace0647d20626d9cd2be4d37117a31985d91180a5c4587f0e9a"),
+        (["region", "thm51", "--format", "json"],
+         "769c686da51b121dfa8039e575aef79402ce23cb1dcc769fa87f0114f4b66278"),
     ])
     def test_stdout_digest(self, capsys, argv, digest):
         status, out, err = run(capsys, argv)

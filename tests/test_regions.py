@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 from math import inf
@@ -345,6 +347,12 @@ class TestBuildInput:
 
 
 class TestContains:
+    @pytest.mark.parametrize("bad", [0.5, True, "1/2", float("nan")])
+    def test_rejects_inexact_coordinates(self, bad):
+        with pytest.raises(ValueError) as exc:
+            contains(lemma41_system(0), (0, bad, Fraction(8, 5), Fraction(27, 10)))
+        assert str(exc.value) == f"point coordinates must be ints or Fractions, got {bad!r}"
+
     def test_dimension_mismatch(self):
         system = InequalitySystem(2, [([1, -1], 0)])
         with pytest.raises(ValueError):
@@ -359,6 +367,33 @@ class TestContains:
             2, [([1, -1], Fraction(-3, 2))]
         )
         assert system.rows_text() == ["[1,-1 | -3/2]"]
+
+
+class TestOneStoredForm:
+    """The systems built from sparse rows against the same rows spelled out
+    densely and passed through the public constructor."""
+
+    @staticmethod
+    def built_systems():
+        rng = random.Random(37)
+        systems = [region_system(random_degree_matrix(rng, n)) for n in range(9) for _ in range(4)]
+        return systems + [lemma41_system(k) for k in range(3)] + list(thm51_systems())
+
+    def test_only_the_sparse_rows_are_stored(self):
+        assert InequalitySystem._fields == InequalitySystem.__slots__ == ("dimension", "sparse_rows")
+
+    def test_built_and_constructed_systems_agree(self):
+        for built in self.built_systems():
+            rebuilt = InequalitySystem(built.dimension, built.constraints)
+            assert built == rebuilt and hash(built) == hash(rebuilt)
+            assert built.sparse_rows == rebuilt.sparse_rows
+            assert repr(built) == repr(rebuilt)
+            assert built.rows_text() == rebuilt.rows_text()
+            assert is_feasible(built) == is_feasible(rebuilt)
+            for clone in (copy.copy(built), copy.deepcopy(built),
+                          pickle.loads(pickle.dumps(built))):
+                assert type(clone) is InequalitySystem
+                assert clone == built and repr(clone) == repr(built)
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +532,12 @@ class TestSparseKernel:
             n = rng.randint(0, 6)
             d = random_degree_matrix(rng, n)
             expected = [
-                _pair_row(n + 1, i, j, alpha_by_chain_enumeration(d, i, j))
+                _pair_row(i, j, alpha_by_chain_enumeration(d, i, j))
                 for i in range(n + 1)
                 for j in range(i + 1, n + 1)
                 if alpha_by_chain_enumeration(d, i, j) != inf
             ]
-            assert _region_rows(d, n + 1) == expected
+            assert _region_rows(d) == expected
 
     def test_contains_matches_dense_reference(self):
         rng = random.Random(36)
