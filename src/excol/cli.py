@@ -47,17 +47,14 @@ def _report_out(report: suites.RunReport, fmt: str) -> int:
     return report.exit_status
 
 
-def _tuple_record(depth: int, t: SixTuple, oracle: bool, variant: str, fmt: str) -> str:
+def _tuple_record(t: SixTuple, oracle: bool, variant: str, fmt: str) -> str:
+    """The orbit record of ``t`` after its depth, newline included."""
     eq1 = markov.eval_eq1(t)
     eq2 = markov.eval_eq2(t, variant)
-    if fmt == "json":
-        return json.dumps(
-            {"depth": depth, "tuple": list(t), "eq1": eq1, "eq2": eq2,
-             "oracle": oracle},
-            separators=(",", ":"),
-        )
-    joined = ",".join(str(x) for x in t)
-    return f"{depth}\t({joined})\teq1={eq1}\teq2={eq2}\toracle={int(oracle)}"
+    joined = ",".join(map(str, t))
+    if fmt == "json":  # every field is an int or a bool
+        return f',"tuple":[{joined}],"eq1":{eq1},"eq2":{eq2},"oracle":{str(oracle).lower()}}}\n'
+    return f"\t({joined})\teq1={eq1}\teq2={eq2}\toracle={int(oracle)}\n"
 
 
 def cmd_mutate(args) -> int:
@@ -107,12 +104,12 @@ def _capped_run(enumerate_, seed, bound: int, cap: int, pieces) -> int:
 def cmd_orbit(args) -> int:
     """Print one record per orbit member, in BFS order.
 
-    After the BFS, the members are cut into contiguous chunks, one per
-    usable CPU but none of fewer than ``collection._BLOCK`` members, and
-    ``suites.run_shares`` makes each chunk's records: its tuples, their
-    oracle bits, once per distinct tuple, and the record lines.  The
-    chunks' texts are written in order, so the output does not depend on
-    the number of chunks.
+    After the BFS, the members are mapped to their tuples once, and
+    ``suites.run_shares`` makes the record text after the depth, oracle
+    bit included, once per distinct tuple, in shares of at least
+    ``collection._BLOCK`` tuples.  Each member's record is its depth and
+    its tuple's text, so the output does not depend on the number of
+    shares.
     """
     if (args.tuple is None) == (args.file is None):
         print("orbit needs exactly one of FILE or --tuple", file=sys.stderr)
@@ -126,22 +123,16 @@ def cmd_orbit(args) -> int:
             return 2
 
     def records(members) -> list[str]:
-        items = list(members.items())
-        chunks = max(1, min(suites.usable_cpus(), len(items) // collection._BLOCK))
-        size = -(-len(items) // chunks)
+        tuples = [m if args.file is None else markov.t_map(m) for m in members]
+        distinct = list(dict.fromkeys(tuples))
 
-        def text(start: int) -> str:
-            part = items[start:start + size]
-            tuples = [m if args.file is None else markov.t_map(m) for m, _ in part]
-            # the oracle runs once per distinct tuple: mutated collections can share one
-            distinct = dict.fromkeys(tuples)
-            oracle = dict(zip(distinct, markov.unipotency_oracles(distinct)))
-            return "".join(
-                _tuple_record(depth, t, oracle[t], args.eq2_variant, args.format) + "\n"
-                for t, (_, depth) in zip(tuples, part)
-            )
+        def tails(ts):
+            return [_tuple_record(t, oracle, args.eq2_variant, args.format)
+                    for t, oracle in zip(ts, markov.unipotency_oracles(ts))]
 
-        return suites.run_shares(text, range(0, len(items), size))
+        tail = dict(zip(distinct, suites.run_shares(tails, distinct, collection._BLOCK)))
+        head = '{"depth":%d' if args.format == "json" else "%d"
+        return ["".join(head % depth + tail[t] for t, depth in zip(tuples, members.values()))]
 
     return _capped_run(markov.orbit, seed, args.depth, args.cap, records)
 

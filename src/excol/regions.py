@@ -138,10 +138,14 @@ class InequalitySystem(Value):
 
     def rows_text(self) -> list[str]:
         """Constraint rows as ``[c_0,...,c_n | b]`` in exact p/q notation."""
-        return [
-            "[" + ",".join(str(x) for x in coeffs) + " | " + str(bound) + "]"
-            for coeffs, bound in self.constraints
-        ]
+        zeros = ["0"] * self.dimension
+        lines = []
+        for row, bound in self.sparse_rows:
+            cells = zeros.copy()
+            for k, c in row:
+                cells[k] = str(c)
+            lines.append(f"[{','.join(cells)} | {bound}]")
+        return lines
 
 
 def _chain_minima(d: DegreeMatrix, i: int, last: int) -> list:

@@ -4,14 +4,13 @@ Each suite replays the invariants of one module as a list of named
 checks with expected and actual values.  Randomized checks draw from an
 explicitly seeded generator so reports are reproducible.
 
-The suites are independent, so ``run_suite`` deals the ones it runs
-(one, or every suite for ``"all"``) round-robin into one share per CPU
-this process may use, at most one per suite, and the checks come back
-in ``SUITES`` order whatever the number of shares.  The shares run
-through ``run_shares``, the one runner that ``excol orbit`` also uses
-for its records: the first share in process and each other share in a
-forked child, with share k pinned to the k-th usable CPU in turn, so a
-single suite forks nothing.
+The suites are independent, so ``run_suite`` passes the ones it runs
+(one, or every suite for ``"all"``) to ``run_shares``, the one share
+planner, which ``excol orbit`` also uses for its records.  It deals
+items round-robin into one share per usable CPU, none below a minimum
+size, runs the first share in process and each other share in a forked
+child pinned to the next usable CPU, and returns the values in item
+order, so the checks come in ``SUITES`` order on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -477,29 +476,32 @@ def _pin(cpus) -> None:
 _UNREAD = object()  # a child's value that did not arrive
 
 
-def run_shares(work, shares) -> list:
-    """``[work(s) for s in shares]``, with every share after the first
-    computed in a forked child that sends ``work(s)`` back through a pipe
-    as ``marshal`` data, so ``work`` must return what ``marshal`` can dump.
+def run_shares(work, items, min_share: int = 1) -> list:
+    """``work(items)``, where ``work`` maps a list of items to a list of
+    as many values that ``marshal`` can dump: one value per item, in order.
 
-    The parent computes ``shares[0]`` while the children run, then takes
-    their values in order.  A share whose child could not be forked,
+    The items are dealt round-robin into ``max(1, min(usable_cpus(),
+    len(items) // min_share))`` shares.  The parent computes the first
+    share while each other share runs in a forked child that sends its
+    values back through a pipe.  A share whose child could not be forked,
     exits nonzero or sends an unreadable value is computed here, so an
     error of ``work`` is raised here.  Nothing is forked for one share,
-    with one usable CPU, without ``os.fork`` or when the process already
-    runs more than one thread: a child forked then can block on a lock
-    that another thread held at the fork.  With ``os.sched_setaffinity``,
-    share k runs pinned to ``cpus[k % len(cpus)]`` of the sorted usable
-    CPUs, since the scheduler tends to leave a child on its parent's CPU;
-    the parent takes back its own mask after its share.  A refused pin is
-    ignored.  On any exception, KeyboardInterrupt included, every
-    unreaped child is killed and reaped.
+    without ``os.fork`` or when the process already runs more than one
+    thread: a child forked then can block on a lock that another thread
+    held at the fork.  With ``os.sched_setaffinity``, share k runs pinned
+    to ``cpus[k % len(cpus)]`` of the sorted usable CPUs, since the
+    scheduler tends to leave a child on its parent's CPU; the parent
+    takes back its own mask after its share.  A refused pin is ignored.
+    On any exception, KeyboardInterrupt included, every unreaped child is
+    killed and reaped.
     """
-    shares = list(shares)
+    items = list(items)
+    count = max(1, min(usable_cpus(), len(items) // min_share))
     threading = sys.modules.get("threading")
     threaded = threading is not None and threading.active_count() > 1
-    if len(shares) < 2 or threaded or not hasattr(os, "fork") or usable_cpus() < 2:
-        return [work(share) for share in shares]
+    if count < 2 or threaded or not hasattr(os, "fork"):
+        return work(items)
+    shares = [items[k::count] for k in range(count)]
     mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
     cpus = [{cpu} for cpu in sorted(mask)] or [set()]
     children = []  # (pid, read end) per share after the first; None once reaped or unforked
@@ -550,29 +552,28 @@ def run_shares(work, shares) -> list:
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return results
+    values = [None] * len(items)
+    for k, share_values in enumerate(results):
+        values[k::count] = share_values
+    return values
 
 
 def run_suite(name: str, seed: int = 0) -> list[Check]:
     """The checks of suite ``name``; for ``"all"``, those of every suite
     labelled with its name, in ``SUITES`` order.
 
-    The suites are dealt round-robin into one share per usable CPU, at
-    most one per suite, and ``run_shares`` runs the shares, so one suite
-    forks nothing and an error reads the same on any number of CPUs.
+    ``run_shares`` deals the suites into at most one share per suite, so
+    one suite forks nothing and an error reads the same on any number of
+    CPUs.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
     names = list(SUITES) if name == "all" else [name]
-    workers = min(len(names), usable_cpus())
 
     def rows(share):
         return [[tuple(c) for c in SUITES[suite](seed)] for suite in share]
 
-    shares = [names[k::workers] for k in range(workers)]
-    by_suite = {}
-    for share, share_rows in zip(shares, run_shares(rows, shares)):
-        by_suite.update(zip(share, share_rows))
+    by_suite = dict(zip(names, run_shares(rows, names)))
     if name != "all":
         return [Check(*c) for c in by_suite[name]]
     return [Check(f"{suite}: {c[0]}", *c[1:]) for suite in names for c in by_suite[suite]]

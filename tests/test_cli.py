@@ -625,14 +625,23 @@ class TestPinnedExploreOutputs:
         status, out, _ = run(capsys, [files.get(a, a) for a in argv])
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        # one chunk per CPU, each of at least _BLOCK members
-        chunks = max(1, min(cpus, out.count("\n") // collection._BLOCK))
-        assert len(forked) == chunks - 1
+        # one share per CPU, each of at least _BLOCK distinct tuples
+        shares = max(1, min(cpus, len(set(record_tuples(out))) // collection._BLOCK))
+        assert len(forked) == shares - 1
         assert_no_children()
 
     def test_non_unipotent_records(self, capsys):
         _, out, _ = run(capsys, ["orbit", "--tuple", "1,0,0,0,0,0", "--depth", "8"])
         assert out.count("oracle=0") == 12
+
+
+def record_tuples(out):
+    """The tuple of each orbit record in ``out``, text or json."""
+    return [
+        tuple(json.loads(line)["tuple"]) if line.startswith("{")
+        else tuple(map(int, line.split("\t")[1].strip("()").split(",")))
+        for line in out.splitlines()
+    ]
 
 
 class TestOrbitShares:
@@ -657,6 +666,25 @@ class TestOrbitShares:
         assert run(capsys, argv) == expected
         assert len(forked) == 1
         assert_no_children()
+
+    def test_oracle_sees_each_distinct_tuple_once(self, beilinson_file, capsys, monkeypatch):
+        # orbit b3 --depth 6 has 5121 members but only 3597 distinct tuples
+        argv = ["orbit", str(beilinson_file), "--depth", "6"]
+        expected = run(capsys, argv)
+        seen, oracles = [], markov.unipotency_oracles
+
+        def counting_oracles(ts):
+            seen.extend(ts)
+            return oracles(ts)
+
+        def refused_fork():
+            raise OSError("fork refused")
+
+        force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(suites.os, "fork", refused_fork)  # every share runs here
+        monkeypatch.setattr(markov, "unipotency_oracles", counting_oracles)
+        assert run(capsys, argv) == expected
+        assert len(seen) == len(set(seen)) == len(set(record_tuples(expected[1]))) == 3597
 
     def test_reruns_the_chunk_of_a_failed_child(self, beilinson_file, capsys, monkeypatch):
         argv = ["orbit", str(beilinson_file), "--depth", "6"]
@@ -715,8 +743,10 @@ class TestRunShares:
     def test_share_k_runs_on_cpu_k_round_robin(self, monkeypatch):
         cpus = sorted(os.sched_getaffinity(0))
         forked = force_cpus(monkeypatch, 3)
-        pinned = suites.run_shares(lambda k: sorted(os.sched_getaffinity(0)), range(3))
-        assert pinned == [[cpus[k % len(cpus)]] for k in range(3)]
+        pinned = suites.run_shares(
+            lambda share: [sorted(os.sched_getaffinity(0))] * len(share), range(6))
+        # item k is dealt to share k % 3
+        assert pinned == [[cpus[k % 3 % len(cpus)]] for k in range(6)]
         assert len(forked) == 2
         assert os.sched_getaffinity(0) == set(cpus)
         assert_no_children()
@@ -725,10 +755,10 @@ class TestRunShares:
         mask = os.sched_getaffinity(0)
         parent = os.getpid()
 
-        def work(k):
+        def work(share):
             if os.getpid() == parent:
                 raise ValueError("boom")
-            return k
+            return share
 
         forked = force_cpus(monkeypatch, 2)
         with pytest.raises(ValueError, match="^boom$"):
@@ -743,9 +773,26 @@ class TestRunShares:
 
         forked = force_cpus(monkeypatch, 2)
         monkeypatch.setattr(suites.os, "sched_setaffinity", refuse)
-        assert suites.run_shares(lambda k: [k, None], [0, 1]) == [[0, None], [1, None]]
+        values = suites.run_shares(lambda share: [[k, None] for k in share], [0, 1])
+        assert values == [[0, None], [1, None]]
         assert len(forked) == 1
         assert_no_children()
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("min_share", [1, 2, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_run_shares_deals_items_round_robin(monkeypatch, cpus, min_share, n):
+    forked = force_cpus(monkeypatch, cpus)
+    parent = os.getpid()
+    values = suites.run_shares(
+        lambda share: [(k, os.getpid()) for k in share], range(n), min_share)
+    shares = max(1, min(cpus, n // min_share))
+    assert len(forked) == shares - 1
+    assert [k for k, _ in values] == list(range(n))
+    # item k is computed by share k % shares: the first here, the rest in the forked children
+    assert [pid for _, pid in values] == [([parent] + forked)[k % shares] for k in range(n)]
+    assert_no_children()
 
 
 class TestPinnedVerifyOutputs:
