@@ -21,13 +21,15 @@ factor that the pass turns into D moves to the nearer end, D^s or D^t,
 conjugating by tau the factors it passes.  The form is
 D^(s+t) . tau^t(fs).  Permutation braids are stored as permutations in
 one-line notation, composed left to right (p then q) as in word order.
-The pass reads them interned as small ints, one table per strand count,
-which holds the factor each letter appends, the left-weighted pair of
-two ids and tau of an id; the factors become permutations again once,
-for the ``GarsideForm``.  The tables are the module's only cache, and
-``_left_weighted_pair`` is its one left-weighting: it fills them and
-checks a ``GarsideForm`` built from outside input.  Words and forms
-derived from checked words are not checked again.
+The pass reads them interned as small ints in one table, which fills on
+read the factor each letter appends, the left-weighted pair of two ids
+and tau of an id.  The table is replaced when a word has another strand
+count, or when it holds more than 4096 permutations and pairs.  The
+factors become permutations again once, for the ``GarsideForm``.  The
+table is the module's only cache, and ``_left_weighted_pair`` is its one
+left-weighting: it fills the table and checks a ``GarsideForm`` built
+from outside input.  Words and forms derived from checked words are not
+checked again.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ Letter = tuple[int, int]
 
 _TOKEN_ALIASES = {"L": 1, "R": -1}
 
-# The normal form's tables may hold 8 times this many entries together
-# before they are dropped; it bounds nothing else.  A 4-strand word
-# visits at most 24 permutations, while a long word on many strands
-# would otherwise keep every permutation it ever visits.
-_CACHE_SIZE = 512
+# The normal form's table may hold this many permutations and pairs
+# before it is replaced; it bounds nothing else.  A 4-strand table holds
+# at most 24 permutations and 576 pairs, while a long word on many
+# strands would otherwise keep every permutation it ever visits.
+_TABLE_LIMIT = 4096
 
 
 class WordSyntaxError(ValueError):
@@ -299,15 +301,29 @@ def _one_line(p: Perm) -> str:
     return "(" + " ".join(str(v + 1) for v in p) + ")"
 
 
+class _Filled(dict):
+    """A dict that computes a missing value as ``fill(key)`` and keeps it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class _Table:
     """The permutations of one strand count that normal forms met, interned as ids.
 
     Ids index ``perms``; the identity is id 0.  ``tau`` maps an id to the
-    id of tau of its permutation.  ``factors`` maps each parity of t to
-    the id of tau^t of the factor that a letter appends, and ``pairs``
-    maps two ids to the ids of their left-weighted pair.  Entries are
-    filled from ``_gen``, ``_mul``, ``_tau`` and ``_left_weighted_pair``
-    when first needed.
+    id of tau of its permutation, ``factors`` maps a letter to the id of
+    the factor it appends while t is even (tau of it while t is odd), and
+    ``pairs`` maps two ids to the ids of their left-weighted pair.  Each
+    fills a missing entry from ``_tau``, ``_gen`` and ``_mul``, or
+    ``_left_weighted_pair`` when it is first read.
     """
 
     __slots__ = ("n", "perms", "ids", "tau", "factors", "pairs", "w0")
@@ -316,9 +332,9 @@ class _Table:
         self.n = n
         self.perms: list[Perm] = []
         self.ids: dict[Perm, int] = {}
-        self.tau: dict[int, int] = {}
-        self.factors: tuple[dict, dict] = ({}, {})
-        self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        self.tau = _Filled(self._tau_id)
+        self.factors = _Filled(self._factor_id)
+        self.pairs = _Filled(self._pair_ids)
         self.intern(_identity_perm(n))
         self.w0 = self.intern(_w0(n))
 
@@ -329,60 +345,44 @@ class _Table:
             self.perms.append(p)
         return k
 
-    def tau_of(self, k: int) -> int:
-        t = self.tau.get(k)
-        if t is None:
-            t = self.tau[k] = self.intern(_tau(self.perms[k]))
-            self.tau[t] = k  # tau is an involution
+    def _tau_id(self, k: int) -> int:
+        t = self.intern(_tau(self.perms[k]))
+        self.tau[t] = k  # tau is an involution
         return t
 
-    def factor(self, letter: Letter, parity: int) -> int:
-        """tau^parity of sigma_i, or of D sigma_i^-1 for an inverse letter."""
+    def _factor_id(self, letter: Letter) -> int:
+        """sigma_i, or D sigma_i^-1 for an inverse letter."""
         i, sign = letter
         q = _gen(self.n, i)
         if sign < 0:
             q = _mul(_w0(self.n), q)
-        k = self.intern(q)
-        if parity:
-            k = self.tau_of(k)
-        self.factors[parity][letter] = k
-        return k
+        return self.intern(q)
 
-    def pair(self, x: int, y: int) -> tuple[int, int]:
+    def _pair_ids(self, pair: tuple[int, int]) -> tuple[int, int]:
+        x, y = pair
         px = self.perms[x]
         nx, ny = _left_weighted_pair(px, self.perms[y])
         # a pair that is left weighted already comes back as it went in
-        r = self.pairs[x, y] = (x, y) if nx is px else (self.intern(nx), self.intern(ny))
-        return r
+        return pair if nx is px else (self.intern(nx), self.intern(ny))
 
     def __len__(self) -> int:
         return len(self.perms) + len(self.pairs)
 
 
-_TABLES: dict[int, _Table] = {}  # strand count -> its table
-
-
-def _table(n: int) -> _Table:
-    """The table of n strands.
-
-    Once the tables together hold more than 8 * _CACHE_SIZE entries
-    (permutations and pairs), all of them are dropped and rebuilt as
-    normal forms need them; a 4-strand table holds at most 24
-    permutations and 576 pairs.
-    """
-    if sum(map(len, _TABLES.values())) > 8 * _CACHE_SIZE:
-        _TABLES.clear()
-    table = _TABLES.get(n)
-    if table is None:
-        table = _TABLES[n] = _Table(n)
-    return table
+# The table of the strand count in use; normal_form replaces it when a
+# word has another strand count or the table has grown past _TABLE_LIMIT.
+_TABLE = _Table(4)
 
 
 def normal_form(w: BraidWord) -> GarsideForm:
     """The unique left Garside normal form of the word, computed over interned ids."""
+    global _TABLE
     n = w.strands
-    table = _table(n)
-    tau_of, pairs, factors, w0 = table.tau_of, table.pairs, table.factors, table.w0
+    table = _TABLE
+    if table.n != n or len(table) > _TABLE_LIMIT:
+        table = _TABLE = _Table(n)
+    tau, pairs, factors, w0 = table.tau, table.pairs, table.factors, table.w0
+    tau_of = tau.__getitem__
     s = t = 0
     fs: list[int] = []  # the braid read so far is D^s . fs . D^t; the identity is id 0
     for letter in w.letters:
@@ -390,9 +390,9 @@ def normal_form(w: BraidWord) -> GarsideForm:
             # sigma_i^-1 = D^-1 (D sigma_i^-1), the parenthesis is positive
             t -= 1
         # D^t q = tau^t(q) D^t
-        q = factors[t & 1].get(letter)
-        if q is None:
-            q = table.factor(letter, t & 1)
+        q = factors[letter]
+        if t & 1:
+            q = tau[q]
         if q == w0:  # only on 2 strands, where the identity is popped below
             t += 1
             continue
@@ -400,10 +400,7 @@ def normal_form(w: BraidWord) -> GarsideForm:
         k = len(fs) - 2
         while k >= 0:
             x = fs[k]
-            r = pairs.get((x, q))
-            if r is None:
-                r = table.pair(x, q)
-            nx, ny = r
+            nx, ny = pairs[x, q]
             if nx == x:
                 break
             fs[k + 1] = ny

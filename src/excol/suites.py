@@ -92,15 +92,7 @@ class RunReport:
         return {
             "command": self.command,
             "inputs": self.inputs,
-            "checks": [
-                {
-                    "name": c.name,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
             "exit_status": self.exit_status,
         }
 

@@ -144,66 +144,88 @@ class TestNormalForm:
 
 class TestCaches:
     def test_permutation_caches_are_bounded(self):
-        # the interned tables are the module's only cache
+        # the one interned table is the module's only cache
         assert not [f for f in vars(braid).values() if hasattr(f, "cache_info")]
+        assert [v for v in vars(braid).values() if isinstance(v, braid._Table)] == [braid._TABLE]
+        assert braid._TABLE_LIMIT == 4096
         rng = random.Random(9)
         for _ in range(60):
             strands = rng.randint(2, 64)
             normal_form(sample_word(rng, strands, rng.randint(0, 60), "mixed"))
-            assert sum(map(len, braid._TABLES.values())) <= 2 * 8 * braid._CACHE_SIZE
+            assert braid._TABLE.n == strands
+            assert len(braid._TABLE) <= 2 * braid._TABLE_LIMIT
 
-    def test_reset_keeps_normal_form(self):
-        # the tables outgrow their bound on the way, so normal_form drops and
-        # rebuilds them between words; a reset then gives the same forms
+    def test_reset_keeps_normal_form(self, monkeypatch):
+        # the table outgrows its bound on the way, so normal_form replaces
+        # it between words; a reset then gives the same forms
         rng = random.Random(7)
         words = [
             BraidWord(10, tuple((rng.randrange(9), rng.choice((1, -1))) for _ in range(200)))
             for _ in range(8)
         ]
-        table = braid._table(10)
+        normal_form(BraidWord(10))
+        table = braid._TABLE
         first = [normal_form(w) for w in words]
-        assert braid._TABLES.get(10) is not table
-        braid._TABLES.clear()
+        assert braid._TABLE is not table
+        monkeypatch.setattr(braid, "_TABLE", braid._Table(10))
         assert [normal_form(w) for w in words] == first
         assert [normal_form(w) for w in reversed(words)] == first[::-1]
+        monkeypatch.setattr(braid, "_TABLE", braid._Table(3))
+        assert [normal_form(w) for w in words] == first
 
     def test_interned_tables_stay_bounded(self):
         rng = random.Random(8)
-        bound = 8 * braid._CACHE_SIZE
-        most = resets = 0
-        for _ in range(400):
-            strands = rng.randint(2, 40)
-            before = braid._TABLES.get(strands)
+        limit = braid._TABLE_LIMIT
+        most = grown = switched = 0
+        for i in range(400):
+            # ten words on random strand counts, then a run on 40 strands
+            strands = rng.randint(2, 40) if i % 100 < 10 else 40
+            before = braid._TABLE
+            size = len(before)
             normal_form(sample_word(rng, strands, rng.randint(0, 40), "mixed"))
-            resets += before is not None and braid._TABLES[strands] is not before
-            most = max(most, sum(map(len, braid._TABLES.values())))
-        assert resets and most <= 2 * bound
-        # a table is dropped only at the start of a call
-        for strands in (3, 4, 17):
-            braid._table(strands)
-            assert sum(map(len, braid._TABLES.values())) <= bound + 2
+            # replaced at the start of a call exactly when the word has
+            # another strand count or the table has outgrown its bound
+            kept = braid._TABLE is before
+            assert kept == (before.n == strands and size <= limit)
+            assert braid._TABLE.n == strands
+            grown += before.n == strands and not kept
+            switched += before.n != strands
+            most = max(most, len(braid._TABLE))
+        assert grown and switched and most <= 2 * limit
 
-    def test_table_entries_are_consistent(self):
+    def test_table_entries_are_consistent(self, monkeypatch):
         rng = random.Random(26)
         for strands in (2, 3, 4, 7):
-            braid._TABLES.clear()
+            table = braid._Table(strands)
+            monkeypatch.setattr(braid, "_TABLE", table)
             for _ in range(20):
                 normal_form(sample_word(rng, strands, 30, "mixed"))
-            table = braid._TABLES[strands]
+            assert braid._TABLE is table
             assert table.perms[0] == braid._identity_perm(strands)
             assert table.perms[table.w0] == braid._w0(strands)
             assert all(table.ids[p] == k for k, p in enumerate(table.perms))
-            assert table.tau
+            assert table.tau and table.factors
             assert all(table.perms[t] == braid._tau(table.perms[k]) for k, t in table.tau.items())
             for (x, y), (nx, ny) in table.pairs.items():
                 assert (table.perms[nx], table.perms[ny]) == reference_left_weighted_pair(
                     table.perms[x], table.perms[y])
-            for parity, factors in enumerate(table.factors):
-                for (i, sign), k in factors.items():
-                    q = braid._gen(strands, i)
-                    if sign < 0:
-                        q = braid._mul(braid._w0(strands), q)
-                    assert table.perms[k] == (braid._tau(q) if parity else q)
+            for (i, sign), k in table.factors.items():
+                q = braid._gen(strands, i)
+                if sign < 0:
+                    q = braid._mul(braid._w0(strands), q)
+                assert table.perms[k] == q
+
+    def test_table_fills_on_read(self):
+        table = braid._Table(5)
+        k = table.factors[2, -1]
+        assert table.factors == {(2, -1): k}
+        assert table.perms[k] == braid._mul(braid._w0(5), braid._gen(5, 2))
+        t = table.tau[k]
+        assert table.perms[t] == braid._tau(table.perms[k]) and table.tau[t] == k
+        y = table.factors[3, 1]
+        assert table.pairs[k, y] == tuple(
+            table.ids[p] for p in reference_left_weighted_pair(table.perms[k], table.perms[y]))
+        assert len(table) == len(table.perms) + 1
 
 
 class TestTriviality:

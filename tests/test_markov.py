@@ -192,6 +192,20 @@ class TestEquations:
         assert unipotency_oracle(SEED_DUAL) and eval_eq2(SEED_DUAL, "printed") != 0
         assert eval_eq2(SEED_DUAL, "corrected") == 0
 
+    def test_equations_are_the_characteristic_polynomial_of_kappa(self):
+        # det G = 1, so det(x - kappa) = det(x G - G^T) for kappa = G^-1 G^T
+        a = symbolic_tuple()
+        x = sympy.Symbol("x")
+        g = sympy.Matrix(tuple_gram(a))
+        one, c1, c2, c3, c4 = sympy.Poly((x * g - g.T).det(method="berkowitz"), x).all_coeffs()
+        assert one == 1 and sympy.expand(c3 - c1) == 0 and c4 == 1
+        assert sympy.expand(eval_eq1(a) - (c1 - 4)) == 0
+        assert sympy.expand(eval_eq2(a, "corrected") - (c2 + 2 * c1 - 14)) == 0
+        # the printed variant is no affine combination of c1 and c2
+        p, q, r = sympy.symbols("p q r")
+        rest = sympy.Poly(sympy.expand(eval_eq2(a, "printed") - p * c1 - q * c2 - r), *a)
+        assert sympy.linsolve(rest.coeffs(), [p, q, r]) == sympy.EmptySet
+
 
 class TestOracleReference:
     """The one back substitution oracle against the former inverse-then-product one."""

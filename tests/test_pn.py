@@ -5,7 +5,8 @@ import pytest
 import sympy
 
 from excol import _matrix
-from excol.collection import is_strong_candidate, serre_matrix
+from excol.braid import parse_word
+from excol.collection import apply_word, is_strong_candidate, serre_matrix
 from excol.markov import eval_eq1, t_map
 from excol.pn import (
     beilinson_collection,
@@ -164,6 +165,17 @@ class TestTwist:
             a = beilinson_collection(n).gram
             tw = twist_matrix(n)
             assert _matrix.mat_mul(_matrix.mat_mul(_matrix.transpose(tw), a), tw) == a
+
+    def test_helix_rotation_acts_as_the_twist(self):
+        # h = L0 L1 ... L{n-1} rotates the helix by one step, so h^-k sends
+        # (O, ..., O(n)) to (O(k), ..., O(n+k)): the same gram, classes T^k
+        for n in range(1, 9):
+            b = beilinson_collection(n)
+            h = parse_word(" ".join(f"L{i}" for i in range(n)), n + 1)
+            for k in range(-n - 1, n + 2):
+                c = apply_word(b, h ** -k)
+                assert c.gram == b.gram, (n, k)
+                assert c.classes == twist_matrix(n, k), (n, k)
 
 
 class TestSerreClassMap:
