@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--tuple", default=None, help="six comma-separated integers")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=markov.ORBIT_CAP)
     p.add_argument("--eq2-variant", choices=("printed", "corrected"),
                    default="corrected", dest="eq2_variant")
     add_format(p)
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stabilizer", help="scan words fixing a collection")
     p.add_argument("file")
     p.add_argument("--max-len", type=int, required=True, dest="max_len")
-    p.add_argument("--cap", type=int, default=1_000_000,
+    p.add_argument("--cap", type=int, default=markov.STABILIZER_CAP,
                    help="freely reduced words covered; past it, print the words "
                         "up to the longest length within the cap and exit 1")
     p.set_defaults(func=cmd_stabilizer)

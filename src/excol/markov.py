@@ -212,8 +212,12 @@ MUTATION_LETTERS = _letters_for(3)
 
 OrbitSeed = Union[SixTuple, NumericalCollection]
 
+# Default caps (orbit members, stabilizer words); the CLI's --cap reads them too.
+ORBIT_CAP = 100_000
+STABILIZER_CAP = 1_000_000
 
-def orbit(seed: OrbitSeed, depth: int, cap: int = 100_000) -> dict:
+
+def orbit(seed: OrbitSeed, depth: int, cap: int = ORBIT_CAP) -> dict:
     """Breadth-first closure of a seed under its generating letters.
 
     Each seed type has one step, ``step(element, letter)``: collections
@@ -257,7 +261,7 @@ def orbit(seed: OrbitSeed, depth: int, cap: int = 100_000) -> dict:
 
 
 def stabilizer_scan(
-    c: NumericalCollection, max_len: int, cap: int = 1_000_000
+    c: NumericalCollection, max_len: int, cap: int = STABILIZER_CAP
 ) -> list[BraidWord]:
     """All freely reduced words up to ``max_len`` fixing (gram, classes).
 

@@ -366,9 +366,9 @@ def regions_suite(seed: int = 0) -> list[Check]:
 
     left_sys = regions.thm51_systems()[0]
     relaxed_point = tuple(Fraction(x) for x in (0, Fraction(-1, 2), Fraction(5, 2), 3))
-    strong_rows = set(strong_sys.constraints)
-    extras = regions.InequalitySystem(
-        4, tuple(c for c in left_sys.constraints if c not in strong_rows)
+    strong_rows = set(strong_sys.sparse_rows)
+    extras = regions.InequalitySystem._derived(
+        4, tuple(r for r in left_sys.sparse_rows if r not in strong_rows)
     )
     sanity = regions.contains(extras, relaxed_point) and not regions.contains(left_sys, relaxed_point)
     checks.append(check("dropping the strong conditions enlarges the region", True, sanity))

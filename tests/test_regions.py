@@ -467,6 +467,29 @@ class TestSparseMultipliers:
             outcomes.append(res.feasible)
         assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
 
+    def test_cyclic_difference_systems_match_dense_reference(self):
+        # a cycle makes every stage combine rows, so the back substitution
+        # reads rows derived over several stages
+        rng = random.Random(29)
+        outcomes = []
+        for _ in range(300):
+            dim = rng.randint(2, 5)
+            order = rng.sample(range(dim), dim)
+
+            def pair_row(i, j, bound):
+                coeffs = [0] * dim
+                coeffs[i], coeffs[j] = 1, -1
+                return coeffs, bound
+
+            rows = [pair_row(i, j, rng.randint(-1, 4)) for i, j in zip(order, order[1:] + order[:1])]
+            rows += [pair_row(*rng.sample(range(dim), 2), rng.randint(-2, 4))
+                     for _ in range(rng.randint(0, 3))]
+            system = InequalitySystem(dim, rows)
+            res = is_feasible(system)
+            assert res == reference_is_feasible(system)
+            outcomes.append(res.feasible)
+        assert True in outcomes and False in outcomes
+
     @pytest.mark.parametrize("n", [3, 8, 32])
     def test_strong_systems_match_dense_reference(self, n):
         system = region_system(DegreeMatrix.all_zero(n))
