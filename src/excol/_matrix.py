@@ -4,7 +4,10 @@ Matrices are immutable tuples of row tuples.  Integer matrices stay
 integer: the one elimination, ``determinant``, is fraction free, and
 no floating point is used anywhere.  The Serre matrix G^-1 G^T of an
 upper unitriangular Gram matrix G needs no elimination; its back
-substitution lives with the Gram kernels in ``collection``.
+substitution lives with the Gram kernels in ``collection``, and so
+does the one nilpotency test, ``collection._nilpotent``, which
+``unipotent_grams`` and the pn suite's check of
+((-1)^(n+1) kappa + 1)^(n+1) both call.
 """
 
 from __future__ import annotations
@@ -56,32 +59,8 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    add = operator.add
-    return tuple(tuple(map(add, ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_neg(a: IntMatrix) -> IntMatrix:
     return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
-    """Nonnegative integer power by repeated squaring."""
-    if k < 0:
-        raise ValueError(f"matrix power must be nonnegative, got {k}")
-    acc = None
-    base = a
-    while k:
-        if k & 1:
-            acc = base if acc is None else mat_mul(acc, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return identity(len(a)) if acc is None else acc
-
-
-def is_zero(a: IntMatrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def is_upper_unitriangular(a: IntMatrix) -> bool:

@@ -186,7 +186,9 @@ def parse_word(text: str, strands: int) -> BraidWord:
     ``L<i>`` and ``s<i>`` mean sigma_i, ``R<i>`` and ``s<i>^-1`` mean its
     inverse, with ``<i>`` in ASCII digits.  Letters are kept in textual
     order; the rightmost acts first.  Generator indices are checked once
-    every token has parsed, so a malformed token is reported first.
+    every token has parsed, so a malformed token is reported first.  The
+    loop checks all that ``BraidWord`` would, so the word is built once,
+    by ``_derived``.
     """
     _check_strands(strands)
     letters: list[Letter] = []
@@ -212,7 +214,7 @@ def parse_word(text: str, strands: int) -> BraidWord:
             letters.append((int(digits), exp))
     if out_of_range:
         raise WordSyntaxError(f"generator index {out_of_range} out of range for {strands} strands")
-    return BraidWord(strands, tuple(letters))
+    return BraidWord._derived(strands, tuple(letters))
 
 
 def delta_word() -> BraidWord:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
+from typing import Iterator
 
 from . import _matrix, collection, markov, pn, regions, suites
 from .braid import normal_form, parse_word
@@ -89,14 +91,21 @@ def cmd_verify(args) -> int:
 
 def _capped_run(enumerate_, seed, bound: int, cap: int, pieces) -> int:
     """Write the text pieces of an enumeration's result and return 0; past
-    ``cap``, those of the partial result, then one stderr line, and return 1."""
+    ``cap``, those of the partial result, then one stderr line, and return 1.
+
+    The pieces are joined and written 1024 at a time: an unbuffered
+    stdout makes each write one system call, and one joined string of
+    every piece would hold the whole output in memory.
+    """
     try:
         result, status = enumerate_(seed, bound, cap=cap), 0
     except CapExceededError as exc:
         result, status = exc.partial, 1
-    for piece in pieces(result):
-        sys.stdout.write(piece)
+    it = iter(pieces(result))
+    while chunk := list(islice(it, 1024)):
+        sys.stdout.write("".join(chunk))
     if status:
+        sys.stdout.flush()  # every piece reaches stdout before the stderr line
         print(f"cap of {cap} exceeded; output is partial", file=sys.stderr)
     return status
 
@@ -122,7 +131,7 @@ def cmd_orbit(args) -> int:
             print("orbit records need a collection of 4 objects", file=sys.stderr)
             return 2
 
-    def records(members) -> list[str]:
+    def records(members) -> Iterator[str]:
         tuples = [m if args.file is None else markov.t_map(m) for m in members]
         distinct = list(dict.fromkeys(tuples))
 
@@ -132,7 +141,7 @@ def cmd_orbit(args) -> int:
 
         tail = dict(zip(distinct, suites.run_shares(tails, distinct, collection._BLOCK)))
         head = '{"depth":%d' if args.format == "json" else "%d"
-        return ["".join(head % depth + tail[t] for t, depth in zip(tuples, members.values()))]
+        return (head % depth + tail[t] for t, depth in zip(tuples, members.values()))
 
     return _capped_run(markov.orbit, seed, args.depth, args.cap, records)
 

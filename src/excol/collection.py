@@ -179,14 +179,26 @@ def _block_mul(a: list, b: list) -> list:
     return out
 
 
+def _nilpotent(x: list, count: int) -> list[bool]:
+    """Whether each of the ``count`` members of a block matrix is nilpotent.
+
+    Entry (i, j) of ``x`` is a list over the block.  A k x k matrix is
+    nilpotent iff its 2^j-th power vanishes for 2^j >= k, so ``x`` is
+    squared ceil(log2(k)) times and tested for zero, in exact integers.
+    """
+    for _ in range((len(x) - 1).bit_length()):
+        x = _block_mul(x, x)
+    # a 0 x 0 block has no entries; its members are the empty matrix, which is zero
+    return [not any(e) for e in zip(*chain.from_iterable(x))] or [True] * count
+
+
 def unipotent_grams(grams: Iterable[IntMatrix]) -> list[bool]:
     """For each upper unitriangular gram, whether (kappa + 1)^(n+1) vanishes.
 
     kappa comes from the one batched back substitution, ``_serre_block``,
-    and the identity is added to its diagonal.  An (n+1) x (n+1) matrix has
-    a vanishing (n+1)-th power iff it is nilpotent, iff its 2^k-th power
-    vanishes for 2^k >= n+1; so kappa + 1 is squared k = ceil(log2(n+1))
-    times and tested for zero, in exact integers.  Grams are drawn
+    the identity is added to its diagonal, and the one nilpotency test,
+    ``_nilpotent``, decides the block; the pn suite's check of
+    ((-1)^(n+1) kappa + 1)^(n+1) is its other caller.  Grams are drawn
     ``_BLOCK`` at a time and each matrix entry is held as a list over the
     block, so one ``map`` over two entry lists serves the whole block.
     Results come back in input order.  Raises ValueError unless all grams
@@ -202,10 +214,7 @@ def unipotent_grams(grams: Iterable[IntMatrix]) -> list[bool]:
         x = _serre_block(block)
         for i, row in enumerate(x):
             row[i] = [v + 1 for v in row[i]]
-        for _ in range((len(x) - 1).bit_length()):
-            x = _block_mul(x, x)
-        # 0 x 0 grams have no entries; (kappa + 1)^0 is then the empty matrix, which is zero
-        out += [not any(e) for e in zip(*chain.from_iterable(x))] or [True] * len(block)
+        out += _nilpotent(x, len(block))
     return out
 
 

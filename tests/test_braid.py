@@ -83,6 +83,22 @@ class TestParsing:
         with pytest.raises(WordSyntaxError, match="^generator index 9 out"):
             parse_word("L9 " + long_index, 4)
 
+    def test_parsed_word_equals_the_validated_word(self):
+        # parse_word builds its word by _derived; the constructor must accept the same word
+        rng = random.Random(72)
+        for _ in range(600):
+            strands = rng.randint(2, 10)
+            letters = tuple((rng.randrange(strands - 1), rng.choice((1, -1)))
+                            for _ in range(rng.randint(0, 12)))
+            tokens = []
+            for i, e in letters:
+                index = "0" * rng.randint(0, 2) + str(i)
+                forms = ("L" + index, "s" + index) if e == 1 else ("R" + index, "s" + index + "^-1")
+                tokens.append(rng.choice(forms))
+            w = parse_word(rng.choice((" ", "  ", "\t", "\n")).join(tokens), strands)
+            assert w == BraidWord(strands, letters)
+            w.__post_init__()
+
     def test_round_trip_text(self):
         w = parse_word("L0 R2 L1", 4)
         assert parse_word(w.to_text(), 4) == w

@@ -449,6 +449,20 @@ class TestOrbit:
         assert len(out.strip().splitlines()) == 20
         assert "partial" in err
 
+    # 20 records fit in stdout's buffer; 5000 take several chunks of records
+    @pytest.mark.parametrize("cap", [20, 5000])
+    def test_partial_records_precede_the_cap_line(self, beilinson_file, capsys, cap):
+        # a block-buffered stdout, and stderr in the same pipe
+        argv = ["orbit", str(beilinson_file), "--depth", "6", "--cap", str(cap)]
+        status, out, err = run(capsys, argv)
+        assert status == 1 and out.count("\n") == cap
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "excol.cli", *argv], env=dict(env, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, out + err)
+
     # orbit b3.json --depth 2 has exactly 33 members
     @pytest.mark.parametrize("cap, status", [(33, 0), (32, 1), (34, 0)])
     def test_cap_boundary(self, beilinson_file, capsys, cap, status):

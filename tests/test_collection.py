@@ -282,16 +282,8 @@ class TestSerre:
     def test_beilinson_unipotent(self):
         c = beilinson_collection(3)
         kappa = serre_matrix(c)
-        plus = _matrix.mat_pow(_matrix.mat_add(kappa, _matrix.identity(4)), 4)
-        assert _matrix.is_zero(plus)
+        assert (sympy.Matrix(kappa) + sympy.eye(4)) ** 4 == sympy.zeros(4)
         assert is_minus_kappa_unipotent(c)
-
-    def test_matrix_power_by_squaring(self):
-        a = serre_matrix(beilinson_collection(3))
-        power = _matrix.identity(4)
-        for k in range(10):
-            assert _matrix.mat_pow(a, k) == power
-            power = _matrix.mat_mul(power, a)
 
     def test_serre_identity_random(self):
         rng = random.Random(14)
@@ -309,6 +301,57 @@ class TestSerre:
         reference = charpoly(serre_matrix(seed))
         for member in orbit(seed, 3):
             assert charpoly(serre_matrix(member)) == reference
+
+
+def block_of(mats, k):
+    """The block matrix of k x k matrices: entry (i, j) is a list over them."""
+    return [[[m[i][j] for m in mats] for j in range(k)] for i in range(k)]
+
+
+def sympy_nilpotent(m, k):
+    return sympy.Matrix(k, k, [x for row in m for x in row]) ** k == sympy.zeros(k)
+
+
+def random_unimodular(rng, k):
+    """A lower times an upper unitriangular integer matrix, in sympy."""
+    lower = sympy.Matrix(k, k, lambda i, j: int(i == j) or (rng.randint(-2, 2) if i > j else 0))
+    upper = sympy.Matrix(k, k, lambda i, j: int(i == j) or (rng.randint(-2, 2) if i < j else 0))
+    return lower * upper
+
+
+class TestNilpotent:
+    """``collection._nilpotent``, the one nilpotency test, against sympy's M**k == 0."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_sympy(self, k):
+        rng = random.Random(90 + k)
+        strict = [
+            tuple(tuple(rng.randint(-9, 9) if j > i else 0 for j in range(k)) for i in range(k))
+            for _ in range(30)
+        ]
+        conjugates = []
+        for m in strict:  # dense, and still nilpotent
+            u = random_unimodular(rng, k)
+            c = u * sympy.Matrix(m) * u.inv()
+            conjugates.append(tuple(tuple(int(c[i, j]) for j in range(k)) for i in range(k)))
+        dense = [
+            tuple(tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(k))
+            for _ in range(30)
+        ]
+        # nilpotent with entries below the diagonal
+        assert k == 1 or any(c[i][j] for c in conjugates for i in range(k) for j in range(i))
+        mats = strict + conjugates + dense
+        rng.shuffle(mats)
+        expected = [sympy_nilpotent(m, k) for m in mats]
+        assert set(expected) == {True, False}
+        assert all(sympy_nilpotent(m, k) for m in strict + conjugates)
+        assert collection._nilpotent(block_of(mats, k), len(mats)) == expected
+        assert [collection._nilpotent(block_of([m], k), 1)[0] for m in mats] == expected
+
+    def test_zero_by_zero(self):
+        assert sympy_nilpotent((), 0)
+        assert collection._nilpotent([], 3) == [True] * 3
+        assert collection._nilpotent(block_of([()], 0), 1) == [True]
 
 
 class TestStrongCandidate:

@@ -128,11 +128,6 @@ class TestUnitriangularSolve:
         assert serre_matrix(from_gram(())) == ()
 
 
-def test_mat_pow_rejects_negative_powers():
-    with pytest.raises(ValueError, match="matrix power must be nonnegative, got -1"):
-        _matrix.mat_pow(_matrix.identity(2), -1)
-
-
 class TestMatMul:
     @pytest.mark.parametrize("bits", [3, 1200])
     def test_matches_sympy(self, bits):
