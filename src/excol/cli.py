@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: mutate, verify, orbit, stabilizer, region, braid nf,
-pn gram.  All numeric output is exact; rationals print as p/q.  Exit
-codes: 0 success, 1 check failure or exceeded cap, 2 usage or parse
-errors or an interrupt.
+Subcommands: mutate, verify, orbit, stabilizer, region lemma41, region
+thm51, region strong, braid nf, pn gram.  All numeric output is exact;
+rationals print as p/q.  Exit codes: 0 success, 1 check failure or
+exceeded cap, 2 usage or parse errors or an interrupt.
 """
 
 from __future__ import annotations
@@ -152,42 +152,30 @@ def cmd_stabilizer(args) -> int:
                        lambda words: (w.to_text() + "\n" for w in words))
 
 
-def _print_system(system: regions.InequalitySystem, fmt: str) -> int:
-    res = regions.is_feasible(system)
-    if fmt == "json":
-        payload = {
-            "dimension": system.dimension,
-            "constraints": system.rows_text(),
-            "feasible": res.feasible,
-        }
-        if res.feasible:
-            payload["witness"] = [str(x) for x in res.witness]
-        else:
-            payload["certificate"] = [str(x) for x in res.certificate]
-        print(json.dumps(payload, separators=(",", ":")))
-        return 0
-    for row in system.rows_text():
-        print(row)
-    if res.feasible:
-        print("feasible, witness: " + ",".join(str(x) for x in res.witness))
-    else:
-        print("infeasible, certificate: " + ",".join(str(x) for x in res.certificate))
-    return 0
-
-
 def cmd_region(args) -> int:
+    """Print each system with a witness or a certificate; only ``thm51``,
+    which prints three, names them."""
     if args.which == "lemma41":
-        return _print_system(regions.lemma41_system(args.kidx), args.format)
-    if args.which == "thm51":
-        for name, system in zip(("left", "right", "overlap"), regions.thm51_systems()):
-            if args.format == "text":
-                print(f"# {name}")
-            _print_system(system, args.format)
-        return 0
-    _check_at_most("--n", args.n, MAX_REGION_N)
-    return _print_system(
-        regions.region_system(regions.DegreeMatrix.all_zero(args.n)), args.format
-    )
+        systems = [(None, regions.lemma41_system(args.kidx))]
+    elif args.which == "thm51":
+        systems = zip(("left", "right", "overlap"), regions.thm51_systems())
+    else:
+        _check_at_most("--n", args.n, MAX_REGION_N)
+        systems = [(None, regions.region_system(regions.DegreeMatrix.all_zero(args.n)))]
+    for name, system in systems:
+        res = regions.is_feasible(system)
+        kind = "witness" if res.feasible else "certificate"
+        values = [str(x) for x in getattr(res, kind)]
+        if args.format == "json":
+            print(json.dumps({"dimension": system.dimension, "constraints": system.rows_text(),
+                              "feasible": res.feasible, kind: values}, separators=(",", ":")))
+            continue
+        if name:
+            print(f"# {name}")
+        for row in system.rows_text():
+            print(row)
+        print(f"{'feasible' if res.feasible else 'infeasible'}, {kind}: {','.join(values)}")
+    return 0
 
 
 def cmd_braid_nf(args) -> int:
@@ -259,12 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stabilizer)
 
     p = sub.add_parser("region", help="print a phase-inequality system")
-    p.add_argument("which", choices=("lemma41", "thm51", "strong"))
-    p.add_argument("--kidx", type=int, default=0)
-    p.add_argument("--n", type=int, default=3,
-                   help=f"strong system on n+1 objects; n at most {MAX_REGION_N}")
-    add_format(p)
     p.set_defaults(func=cmd_region)
+    region_sub = p.add_subparsers(dest="which", required=True)
+    q = region_sub.add_parser("lemma41", help="a strong collection and its k-th right mutation")
+    q.add_argument("--kidx", type=int, default=0, help="mutation index, 0 to 2")
+    add_format(q)
+    q = region_sub.add_parser("thm51", help="the three Theorem 5.1 loop-contraction systems")
+    add_format(q)
+    q = region_sub.add_parser("strong", help="the strong system on n+1 objects")
+    q.add_argument("--n", type=int, default=3,
+                   help=f"strong system on n+1 objects; n at most {MAX_REGION_N}")
+    add_format(q)
 
     p = sub.add_parser("braid", help="braid word utilities")
     braid_sub = p.add_subparsers(dest="braid_cmd", required=True)

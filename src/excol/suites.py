@@ -483,10 +483,13 @@ def run_shares(work, items, min_share: int = 1) -> list:
     thread: a child forked then can block on a lock that another thread
     held at the fork.  With ``os.sched_setaffinity``, share k runs pinned
     to ``cpus[k % len(cpus)]`` of the sorted usable CPUs, since the
-    scheduler tends to leave a child on its parent's CPU; the parent
-    takes back its own mask after its share.  A refused pin is ignored.
-    On any exception, KeyboardInterrupt included, every unreaped child is
-    killed and reaped.
+    scheduler tends to leave a child on its parent's CPU.  Share 0 is
+    the parent's, pinned for the same reason: a parent left free can land
+    on a child's CPU, and in some timings ``verify all`` then ran as long
+    as with no pin at all.  The parent takes back its own mask after its
+    share.  A refused pin is ignored.  On any exception,
+    KeyboardInterrupt included, every unreaped child is killed and
+    reaped.
     """
     items = list(items)
     count = max(1, min(usable_cpus(), len(items) // min_share))

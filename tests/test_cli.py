@@ -886,6 +886,31 @@ class TestRegion:
         assert status == 0 and out.count("\n") == 7
         assert run(capsys, ["region", "strong", "--n", "4"])[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["thm51", "--n", "64"], ["thm51", "--kidx", "1"],
+        ["lemma41", "--n", "64"], ["strong", "--kidx", "1"],
+        ["--n", "3", "strong"],
+    ])
+    def test_foreign_option_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["region"] + argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.startswith("usage: ") and "error: " in captured.err
+
+    @pytest.mark.parametrize("which,options", [
+        ("lemma41", {"--kidx", "--format"}),
+        ("thm51", {"--format"}),
+        ("strong", {"--n", "--format"}),
+    ])
+    def test_help_names_only_the_options_read(self, capsys, which, options):
+        with pytest.raises(SystemExit) as exc:
+            main(["region", which, "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        for flag in ("--kidx", "--n", "--format"):
+            assert (f"[{flag}" in out) == (flag in options), flag
+
 
 class TestPinnedRegionOutputs:
     """sha256 of the stdout of the region commands, taken from the dense

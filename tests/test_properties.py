@@ -359,8 +359,13 @@ def argvs(draw, folder):
         argv = [cmd, path(), "--max-len", str(draw(small))]
         argv += opt(draw, "--cap", small.map(lambda k: 10 * k))
     elif cmd == "region":
-        argv = [cmd, draw(usually(st.sampled_from(("lemma41", "thm51", "strong")), st.just("x")))]
-        argv += opt(draw, "--kidx", small) + opt(draw, "--n", size(MAX_REGION_N))
+        which = draw(usually(st.sampled_from(("lemma41", "thm51", "strong")), st.just("x")))
+        values = {"--kidx": small, "--n": size(MAX_REGION_N)}
+        own = {"lemma41": "--kidx", "strong": "--n"}.get(which)
+        argv = [cmd, which] + (opt(draw, own, values[own]) if own else [])
+        if draw(st.integers(0, 7)) == 0:  # a foreign option, which exits 2
+            flag = draw(st.sampled_from([f for f in values if f != own]))
+            argv += [flag, str(draw(values[flag]))]
         argv += opt(draw, "--format", fmt)
     elif cmd == "braid":
         argv = [cmd, draw(usually(st.just("nf"), st.just("x"))), draw(word_text)]
